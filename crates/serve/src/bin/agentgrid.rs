@@ -520,23 +520,23 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         parse_stream(&text, SimTime::ZERO).and_then(|lines| GridService::fast_forward(&cfg, &lines))
     } else {
         let admission = std::sync::Arc::new(AdmissionQueue::new(DEFAULT_ADMISSION_CAPACITY));
-        let shared = flags
-            .listen
-            .as_ref()
-            .map(|_| ServeShared::new(admission.clone()));
-        let listener = match (&flags.listen, &shared) {
-            (Some(addr), Some(shared)) => match spawn_listener(addr, shared.clone()) {
-                Ok((local, handle)) => {
-                    eprintln!("serve: listening on {local}");
-                    Some(handle)
+        let listener = match &flags.listen {
+            Some(addr) => {
+                let shared = ServeShared::new(admission.clone());
+                match spawn_listener(addr, shared.clone()) {
+                    Ok((local, handle)) => {
+                        eprintln!("serve: listening on {local}");
+                        Some((shared, handle))
+                    }
+                    Err(e) => {
+                        eprintln!("error: {e}");
+                        return ExitCode::FAILURE;
+                    }
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => None,
+            }
+            None => None,
         };
+        let shared = listener.as_ref().map(|(shared, _)| shared.clone());
         let paced = PacedOptions {
             speed: flags.speed,
             admission: Some(admission),
@@ -557,7 +557,10 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
                 shared,
             ),
         };
-        if let Some(handle) = listener {
+        // On every outcome, a failed start-up or drain included: the
+        // listener is blocked in `accept` and only `shutdown` ends it.
+        if let Some((shared, handle)) = listener {
+            shared.shutdown();
             let _ = handle.join();
         }
         result

@@ -19,49 +19,75 @@
 //!
 //! The listener thread never touches the simulation: the event loop
 //! *publishes* rendered snapshots into [`ServeShared`] and the listener
-//! serves the latest one. A `GET` marks the shared state refresh-wanted,
-//! so the next loop iteration (≤ ~20 ms away) re-renders; the handler
-//! waits briefly to pick that up. Ingested lines travel through the
-//! admission queue, keeping all grid mutation on the sim thread.
+//! serves the latest one. Nothing here polls. The listener blocks in
+//! `accept`; a `GET` marks the shared state refresh-wanted, wakes the
+//! sim loop through the admission queue and waits on the publish
+//! generation, so it answers as soon as the loop has re-rendered (or,
+//! after [`REFRESH_CAP`], with the last snapshot — the loop may be
+//! inside a long GA event). Ingested lines travel through the admission
+//! queue, whose push wakes the loop, keeping all grid mutation on the
+//! sim thread. Every response closes its connection: clients read the
+//! answer to EOF, and a one-shot loop needs no per-connection state.
 
 use crate::admission::{AdmissionQueue, AdmitError};
+use crate::lock_tolerant;
 use crate::stream::parse_line;
 use agentgrid_sim::SimTime;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
+
+/// Longest a `GET` waits for the sim loop to publish a fresh snapshot
+/// before it serves the last one.
+const REFRESH_CAP: Duration = Duration::from_millis(60);
+
+/// The snapshots the sim loop last rendered.
+#[derive(Default)]
+struct Published {
+    metrics: String,
+    status: String,
+    /// Bumped by every [`ServeShared::publish`]; a `GET` waits for it to
+    /// move past the value it saw when it asked.
+    generation: u64,
+}
 
 /// State shared between the sim loop (writer) and the listener (reader).
 pub struct ServeShared {
-    metrics: Mutex<String>,
-    status: Mutex<String>,
+    published: Mutex<Published>,
+    republished: Condvar,
     refresh: AtomicBool,
     stop: AtomicBool,
     shutdown_req: AtomicBool,
     admission: Arc<AdmissionQueue>,
+    /// Where [`spawn_listener`] bound, for `shutdown`'s wake-up connect.
+    bound: OnceLock<SocketAddr>,
 }
 
 impl ServeShared {
     /// Shared state whose `/ingest` batches land in `admission`.
     pub fn new(admission: Arc<AdmissionQueue>) -> Arc<ServeShared> {
         Arc::new(ServeShared {
-            metrics: Mutex::new(String::new()),
-            status: Mutex::new(String::new()),
+            published: Mutex::new(Published::default()),
+            republished: Condvar::new(),
             refresh: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             shutdown_req: AtomicBool::new(false),
             admission,
+            bound: OnceLock::new(),
         })
     }
 
     /// Publish fresh snapshots (called by the sim loop).
     pub fn publish(&self, metrics: String, status: String) {
-        *self.metrics.lock().expect("metrics lock") = metrics;
-        *self.status.lock().expect("status lock") = status;
+        let mut published = lock_tolerant(&self.published);
+        published.metrics = metrics;
+        published.status = status;
+        published.generation += 1;
         self.refresh.store(false, Ordering::Release);
+        drop(published);
+        self.republished.notify_all();
     }
 
     /// True when a reader asked for fresher data than the last publish.
@@ -69,14 +95,46 @@ impl ServeShared {
         self.refresh.load(Ordering::Acquire)
     }
 
+    /// Ask the sim loop for a fresh render, wait for it to land (at most
+    /// [`REFRESH_CAP`]) and return `pick`'s half of whatever is newest.
+    fn refreshed(&self, pick: fn(&Published) -> &String) -> String {
+        let seen = lock_tolerant(&self.published).generation;
+        self.refresh.store(true, Ordering::Release);
+        self.admission.wake();
+        let (published, _) = self
+            .republished
+            .wait_timeout_while(lock_tolerant(&self.published), REFRESH_CAP, |p| {
+                p.generation == seen
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        pick(&published).clone()
+    }
+
     /// True once `POST /shutdown` asked for a graceful drain.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown_req.load(Ordering::Acquire)
     }
 
-    /// Tell the listener thread to wind down.
+    /// Tell the listener thread to wind down. The thread is blocked in
+    /// `accept`, so the first call also hands it one throw-away
+    /// connection to return from; it needs no sim loop to be running.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        if let Some(bound) = self.bound.get() {
+            // A wildcard bind is reached over loopback. A failed connect
+            // means the backlog is full, and then `accept` returns anyway.
+            let ip = match bound.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                ip => ip,
+            };
+            let _ = TcpStream::connect_timeout(
+                &SocketAddr::new(ip, bound.port()),
+                Duration::from_secs(1),
+            );
+        }
     }
 
     fn stopping(&self) -> bool {
@@ -95,18 +153,17 @@ pub fn spawn_listener(
     let local = listener
         .local_addr()
         .map_err(|e| format!("no local addr: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot set nonblocking: {e}"))?;
+    shared
+        .bound
+        .set(local)
+        .map_err(|_| "this ServeShared already has a listener".to_string())?;
     let handle = std::thread::spawn(move || loop {
+        let accepted = listener.accept();
         if shared.stopping() {
-            return;
+            return; // `accepted` is shutdown's wake-up connect, or moot
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => handle_connection(stream, &shared),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
             Err(e) => {
                 eprintln!("serve: accept error: {e}");
                 std::thread::sleep(Duration::from_millis(50));
@@ -170,28 +227,22 @@ fn handle_connection(mut stream: TcpStream, shared: &ServeShared) {
     }
 
     match (method.as_str(), path.as_str()) {
-        ("GET", "/metrics") => {
-            // Ask the sim loop for a fresh render, give it a beat to
-            // land, then serve whatever is newest.
-            shared.refresh.store(true, Ordering::Release);
-            std::thread::sleep(Duration::from_millis(60));
-            let text = shared.metrics.lock().expect("metrics lock").clone();
-            respond(
-                &mut stream,
-                200,
-                "text/plain; version=0.0.4; charset=utf-8",
-                &text,
-            );
-        }
-        ("GET", "/status") => {
-            shared.refresh.store(true, Ordering::Release);
-            std::thread::sleep(Duration::from_millis(60));
-            let text = shared.status.lock().expect("status lock").clone();
-            respond(&mut stream, 200, "application/json", &text);
-        }
+        ("GET", "/metrics") => respond(
+            &mut stream,
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            &shared.refreshed(|p| &p.metrics),
+        ),
+        ("GET", "/status") => respond(
+            &mut stream,
+            200,
+            "application/json",
+            &shared.refreshed(|p| &p.status),
+        ),
         ("POST", "/ingest") => handle_ingest(&mut stream, shared, &body),
         ("POST", "/shutdown") => {
             shared.shutdown_req.store(true, Ordering::Release);
+            shared.admission.wake();
             respond(
                 &mut stream,
                 202,
@@ -306,6 +357,7 @@ fn respond_with(
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+    use std::time::Instant;
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String, Vec<String>) {
         request(addr, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
@@ -439,6 +491,112 @@ mod tests {
         assert!(body.contains("draining"), "{body}");
         assert!(shared.shutdown_requested());
 
+        shared.shutdown();
+        handle.join().expect("listener joins");
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_blocked_accept() {
+        // No traffic, no sim loop: the listener sits in `accept` and
+        // only `shutdown`'s own connect can bring it back.
+        let shared = ServeShared::new(Arc::new(AdmissionQueue::new(4)));
+        let (_, handle) = spawn_listener("127.0.0.1:0", shared.clone()).expect("bind");
+        std::thread::sleep(Duration::from_millis(30)); // let it block
+        let start = Instant::now();
+        shared.shutdown();
+        handle.join().expect("listener joins");
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(200), "{took:?}");
+        shared.shutdown(); // a second call is a no-op, not a hang
+    }
+
+    #[test]
+    fn idle_ingest_round_trips_do_not_wait_out_a_poll() {
+        let admission = Arc::new(AdmissionQueue::new(64));
+        let shared = ServeShared::new(admission);
+        let (addr, handle) = spawn_listener("127.0.0.1:0", shared.clone()).expect("bind");
+        let line = "{\"scale\": \"down\", \"resource\": \"S3\"}\n";
+        let mut trips: Vec<Duration> = (0..20)
+            .map(|_| {
+                // Idle between posts, so each one finds the listener parked.
+                std::thread::sleep(Duration::from_millis(2));
+                let start = Instant::now();
+                let (code, _, _) = post(addr, "/ingest", line);
+                assert_eq!(code, 202);
+                start.elapsed()
+            })
+            .collect();
+        trips.sort();
+        let median = trips[trips.len() / 2];
+        assert!(median < Duration::from_millis(3), "median {median:?}");
+
+        shared.shutdown();
+        handle.join().expect("listener joins");
+    }
+
+    #[test]
+    fn get_waits_for_the_publish_it_asked_for() {
+        let admission = Arc::new(AdmissionQueue::new(4));
+        let shared = ServeShared::new(admission.clone());
+        shared.publish(String::new(), "stale".to_string());
+        let (addr, handle) = spawn_listener("127.0.0.1:0", shared.clone()).expect("bind");
+
+        // Nobody publishes: the stale snapshot, once the cap has passed.
+        let start = Instant::now();
+        let (code, body, _) = get(addr, "/status");
+        assert_eq!((code, body.as_str()), (200, "stale"));
+        assert!(start.elapsed() >= REFRESH_CAP, "{:?}", start.elapsed());
+        assert!(shared.wants_refresh(), "the request stays on record");
+
+        // A publisher that follows the sim loop's protocol — park on the
+        // queue, render when a reader asked — is woken by the GET and
+        // its snapshot is the one served, long before the cap.
+        let done = Arc::new(AtomicBool::new(false));
+        let publisher = {
+            let (shared, done) = (shared.clone(), done.clone());
+            std::thread::spawn(move || {
+                shared.publish(String::new(), "older".to_string());
+                while !done.load(Ordering::Acquire) {
+                    admission.wait(Duration::from_secs(5));
+                    if shared.wants_refresh() {
+                        shared.publish(String::new(), "fresh".to_string());
+                    }
+                }
+            })
+        };
+        while shared.wants_refresh() {
+            std::thread::yield_now(); // until "older" is out
+        }
+        let start = Instant::now();
+        let (code, body, _) = get(addr, "/status");
+        let took = start.elapsed();
+        assert_eq!((code, body.as_str()), (200, "fresh"));
+        assert!(took < REFRESH_CAP / 2, "{took:?}");
+
+        done.store(true, Ordering::Release);
+        shared.admission.wake();
+        publisher.join().expect("publisher joins");
+        shared.shutdown();
+        handle.join().expect("listener joins");
+    }
+
+    #[test]
+    fn a_poisoned_snapshot_lock_does_not_take_the_listener_down() {
+        let shared = ServeShared::new(Arc::new(AdmissionQueue::new(4)));
+        shared.publish("x 1\n".to_string(), "{}".to_string());
+        let s2 = shared.clone();
+        let crashed = std::thread::spawn(move || {
+            let _held = s2.published.lock().expect("first holder");
+            panic!("sim thread dies mid-publish");
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert!(shared.published.is_poisoned());
+
+        let (addr, handle) = spawn_listener("127.0.0.1:0", shared.clone()).expect("bind");
+        let (code, body, _) = get(addr, "/metrics");
+        assert_eq!(code, 200);
+        assert!(body.contains("x 1"), "{body}");
         shared.shutdown();
         handle.join().expect("listener joins");
     }

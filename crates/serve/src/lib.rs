@@ -44,3 +44,14 @@ pub use stream::{
 };
 pub use tuner::{Tuner, TunerConfig};
 pub use wal::{read_wal, SyncPolicy, WalConfig, WalRecord, WalRecovery, WalWriter};
+
+/// Lock a mutex shared between the sim loop and the listener, taking
+/// the guard even if the other thread panicked while holding it: the
+/// state behind these locks (queued lines, rendered snapshots) is valid
+/// after every single assignment, so one thread's panic must not
+/// cascade into the other mid-response.
+pub(crate) fn lock_tolerant<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -12,9 +12,10 @@
 //!   clock reaches them (via [`Simulation::peek_at`]), exercising the
 //!   live-ingestion path without wall clocks. The fuzzer drives this.
 //! * [`GridService::run_paced`] — real time: a reader thread feeds lines
-//!   through a bounded [`AdmissionQueue`], the event loop sleeps until
-//!   each event's wall deadline under a configurable time-dilation
-//!   factor, and an optional HTTP listener serves `/metrics`, `/status`,
+//!   through a bounded [`AdmissionQueue`], the event loop parks on that
+//!   queue until the next event's wall deadline (under a configurable
+//!   time-dilation factor) or until a line, a `GET` or a shutdown wakes
+//!   it, and an optional HTTP listener serves `/metrics`, `/status`,
 //!   `POST /ingest` and `POST /shutdown`.
 //!
 //! # Durability (DESIGN.md §14)
@@ -224,6 +225,13 @@ impl Default for PacedOptions {
         }
     }
 }
+
+/// Longest the paced loop parks without looking at the SIGTERM flag. A
+/// signal handler may only set its atomic — it cannot notify the
+/// admission queue's condvar — so this one poll survives; every other
+/// reason to run (a line, a `GET`, `POST /shutdown`, stdin EOF) wakes
+/// the loop directly.
+const SIGTERM_POLL: Duration = Duration::from_millis(20);
 
 /// SIGTERM → graceful drain, std-only: `signal(2)` is in every libc the
 /// platform links anyway, and the handler only flips an atomic.
@@ -604,6 +612,7 @@ impl GridService {
                     }
                 }
                 stdin_done.store(true, Ordering::Release);
+                admission.wake(); // EOF may be what ends the session
             })
         };
 
@@ -654,9 +663,7 @@ impl GridService {
                         let watermark = wall_to_sim(elapsed).max(t) + SimDuration::from_ticks(1);
                         svc.pump(Some(watermark));
                     } else {
-                        // Sleep in short slices so fresh input and
-                        // shutdown stay responsive.
-                        std::thread::sleep((due - elapsed).min(Duration::from_millis(20)));
+                        admission.wait((due - elapsed).min(SIGTERM_POLL));
                     }
                 }
                 None => {
@@ -669,7 +676,7 @@ impl GridService {
                     {
                         break;
                     }
-                    std::thread::sleep(Duration::from_millis(20));
+                    admission.wait(SIGTERM_POLL);
                 }
             }
 
@@ -696,8 +703,8 @@ impl GridService {
         // next line (push_blocking sees the closed queue) or with us.
         let report = svc.into_report();
         if let Some(shared) = &shared {
+            // The final numbers; whoever spawned the listener stops it.
             shared.publish(report.metrics_text.clone(), String::new());
-            shared.shutdown();
         }
         if let Some(w) = &report.wal {
             eprintln!(
