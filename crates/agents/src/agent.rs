@@ -420,8 +420,19 @@ impl Agent {
 
         // 2. Advertised services in the capability table — the
         // neighbours under periodic pull, the whole known grid under
-        // gossip — and the best match wins.
-        let mut candidates: Vec<(ResourceId, MatchEstimate)> = Vec::new();
+        // gossip — and the best match wins. Candidates rank by the
+        // matchmaker's score (== completion under freetime, the
+        // provider's bid under auction), ties by id == lexicographic name
+        // order (NameTable interns sorted), matching the legacy string
+        // compare exactly. Two running bests replace a ranked list: the
+        // best candidate that meets the deadline, and the best overall
+        // for the best-effort fallback.
+        let mut best_meeting: Option<(ResourceId, MatchEstimate)> = None;
+        let mut best_any: Option<(ResourceId, MatchEstimate)> = None;
+        let ranks_before =
+            |est: &MatchEstimate, id: ResourceId, best: Option<(ResourceId, MatchEstimate)>| {
+                best.is_none_or(|(b_id, b)| (est.score, id) < (b.score, b_id))
+            };
         for (known, entry) in self.act.iter() {
             if known == self.id || envelope.has_visited(known) {
                 continue;
@@ -438,17 +449,17 @@ impl Agent {
                 self.matchmaker
                     .evaluate(&entry.info, app, env, deadline, now, platforms, engine)
             {
-                candidates.push((known, est));
+                if est.meets_deadline && ranks_before(&est, known, best_meeting) {
+                    best_meeting = Some((known, est));
+                }
+                if ranks_before(&est, known, best_any) {
+                    best_any = Some((known, est));
+                }
             }
         }
-        // Rank by the matchmaker's score (== completion under freetime,
-        // the provider's bid under auction). Tie-break on id ==
-        // lexicographic name order (NameTable interns sorted), matching
-        // the legacy string compare exactly.
-        candidates.sort_by(|a, b| a.1.score.cmp(&b.1.score).then_with(|| a.0.cmp(&b.0)));
-        if let Some((to, est)) = candidates.iter().find(|(_, e)| e.meets_deadline) {
+        if let Some((to, est)) = best_meeting {
             return DiscoveryDecision::Dispatch {
-                to: *to,
+                to,
                 estimated: est.completion,
                 within_deadline: true,
             };
@@ -476,10 +487,10 @@ impl Agent {
                         within_deadline: false,
                     });
                 }
-                if let Some((to, est)) = candidates.first() {
+                if let Some((to, est)) = best_any {
                     if est.score < best_score {
                         best = Some(DiscoveryDecision::Dispatch {
-                            to: *to,
+                            to,
                             estimated: est.completion,
                             within_deadline: false,
                         });

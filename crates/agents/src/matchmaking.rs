@@ -25,11 +25,11 @@
 
 use crate::info::ServiceInfo;
 use agentgrid_cluster::ExecEnv;
-use agentgrid_pace::{ApplicationModel, CachedEngine, Platform, ResourceModel};
+use agentgrid_pace::{ApplicationModel, CachedEngine, Platform};
 use agentgrid_sim::{SimDuration, SimTime};
 
 /// The outcome of evaluating one advertised service against a request.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MatchEstimate {
     /// η_r: expected completion instant on this resource.
     pub completion: SimTime,
@@ -73,9 +73,7 @@ pub fn estimate(
         .iter()
         .find(|p| p.name.as_str() == &*info.machine_type)
         .ok_or_else(|| MatchError::UnknownPlatform(info.machine_type.to_string()))?;
-    let model = ResourceModel::new(platform.clone(), info.nproc.max(1))
-        .expect("nproc clamped to at least 1");
-    let (nprocs, best_s) = engine.best_time(app, &model);
+    let (nprocs, best_s) = engine.best_time_on(app, platform, info.nproc);
     let start = info.freetime.max(now);
     let completion = start + SimDuration::from_secs_f64(best_s);
     Ok(MatchEstimate {
@@ -254,7 +252,7 @@ impl MatchmakerKind {
 mod tests {
     use super::*;
     use crate::info::Endpoint;
-    use agentgrid_pace::{AppId, Catalog, ModelCurve, TabulatedModel};
+    use agentgrid_pace::{AppId, Catalog, ModelCurve, ResourceModel, TabulatedModel};
 
     fn info(machine: &str, freetime_s: u64) -> ServiceInfo {
         ServiceInfo {

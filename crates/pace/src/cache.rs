@@ -10,32 +10,66 @@
 //! for a homogeneous resource the prediction depends on nothing else — so
 //! one warm pass over a resource's processor counts serves every later GA
 //! generation from memory.
+//!
+//! The same redundancy recurs one level up. Eq. 10's inner minimisation
+//! — the best processor count `k` over `1..=nproc` — is a pure function
+//! of `(application, platform, nproc)`, and discovery asks for it at
+//! every ACT candidate of every hop. [`CachedEngine::best_time`] therefore
+//! memoises the winning `k` in a second dense table of the fast table's
+//! shape, keyed by the resource size instead of the evaluated count:
+//!
+//! - **One copy of every prediction.** The memo stores only `k`; the time
+//!   is read from the fast slot for `(app, platform, k)`.
+//! - **Publication.** A memo entry is written under the map lock after
+//!   the per-k loop, and only when every fast slot `1..=nproc` is filled
+//!   at that moment. [`CachedEngine::invalidate`] clears both tables
+//!   under the same lock. A reader that finds the fast slot for the
+//!   memoised `k` empty has raced an invalidation and falls back to the
+//!   loop.
+//! - **Accounting.** A memo hit adds `nproc` to the fast-hit counter — the
+//!   exact count the warm loop would have added — so [`CacheStats`] and
+//!   every hit ratio derived from it do not depend on the memo.
+//!
+//! Keys outside the dense bounds, and engines built
+//! [`without_fast_table`](CachedEngine::without_fast_table), keep the
+//! plain loop.
+//!
+//! The map lock is poison-tolerant. Its critical sections are map
+//! `get`/`insert`/`clear` calls and relaxed atomic stores, none of which
+//! can stop halfway, so a panic elsewhere under the lock leaves map and
+//! tables consistent and later callers take the guard back with
+//! [`PoisonError::into_inner`] instead of aborting.
 
 use crate::eval::PaceEngine;
 use crate::model::{ApplicationModel, ResourceModel};
+use crate::platform::Platform;
 use agentgrid_telemetry::{Event, Micros, Telemetry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 type Key = (u32, u32, u32); // (app id, platform id, nprocs)
 
 // Default dense fast-table bounds: the key space the GA actually
 // exercises is tiny and enumerable — catalog apps × a handful of
 // platforms × node counts up to the resource size — so a fixed array
-// covers it with room to spare (64 × 8 × 32 slots = 128 KiB). Callers
+// covers it with room to spare (64 × 8 × 32 slots = 128 KiB, plus 64 KiB
+// for the `best_time` memo of the same shape). Callers
 // that know their catalogue/platform matrix derive exact dimensions via
 // [`FastTableDims::for_matrix`] instead; keys outside the bounds always
 // fall back to the locked map, so correctness never depends on fitting.
 const DEFAULT_APPS: usize = 64;
 const DEFAULT_PLATFORMS: usize = 8;
 const DEFAULT_NPROCS: usize = 32;
-/// Hard ceiling on dense slots (8 MiB of `AtomicU64`s): a derived matrix
+/// Hard ceiling on dense slots (8 MiB of `AtomicU64`s plus 4 MiB of
+/// `AtomicU32` memo): a derived matrix
 /// larger than this keeps the default shape rather than ballooning.
 const MAX_SLOTS: usize = 1 << 20;
 /// Slot sentinel: all-ones is a NaN bit pattern no finite prediction can
 /// produce, so zero-second predictions still publish correctly.
 const FAST_EMPTY: u64 = u64::MAX;
+/// Memo sentinel: processor counts start at 1.
+const BEST_EMPTY: u32 = 0;
 
 /// Dimensions of the dense fast table: how many distinct application
 /// ids, platform ids and processor counts get a lock-free slot.
@@ -100,7 +134,11 @@ impl FastTableDims {
 /// Hit/miss counters for the cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Requests served from the cache.
+    /// Requests served from the cache. Counted per processor count: a
+    /// memoised [`CachedEngine::best_time`] on an `nproc`-node resource
+    /// adds `nproc` hits, exactly what its per-k loop adds when warm, so
+    /// this count (and the hit ratio in every result file) is the same
+    /// with or without the memo.
     pub hits: u64,
     /// Requests that fell through to the engine.
     pub misses: u64,
@@ -136,7 +174,12 @@ pub struct CachedEngine {
     /// a pure function of the key, so readers can take a relaxed load
     /// and trust whatever value they see.
     fast: Box<[AtomicU64]>,
-    /// Shape of `fast` (derived from the catalogue/platform matrix when
+    /// Eq. 10's inner minimisation, memoised: the slot `fast` would use
+    /// for `(app, platform, nproc)` holds the smallest `k` achieving the
+    /// minimum over `1..=nproc`, [`BEST_EMPTY`] marks absence. Published
+    /// and cleared under the map lock, like `fast`.
+    best: Box<[AtomicU32]>,
+    /// Shape of `fast` and `best` (derived from the catalogue/platform matrix when
     /// the caller knows it, default 64×8×32 otherwise).
     dims: FastTableDims,
     /// When false every hit is served through the locked map instead of
@@ -184,6 +227,9 @@ impl CachedEngine {
             fast: (0..dims.slots())
                 .map(|_| AtomicU64::new(FAST_EMPTY))
                 .collect(),
+            best: (0..dims.slots())
+                .map(|_| AtomicU32::new(BEST_EMPTY))
+                .collect(),
             dims,
             fast_enabled: true,
             slow_hits: AtomicU64::new(0),
@@ -202,7 +248,8 @@ impl CachedEngine {
     /// Disable the dense fast table, routing every warm hit through the
     /// locked map. Predictions are bit-identical either way — only the
     /// hit path changes — so this is purely an ablation knob for
-    /// benchmarking the pre-fast-table behaviour (`bench hotpath`).
+    /// benchmarking the pre-fast-table behaviour (`bench hotpath`). It
+    /// also turns off the `best_time` memo, which reads the fast table.
     pub fn without_fast_table(mut self) -> Self {
         self.fast_enabled = false;
         self
@@ -243,13 +290,13 @@ impl CachedEngine {
         // beyond the dense bounds are *always* served here — a derived
         // table that undershoots the key space degrades to map hits,
         // never to repeated evaluation.
-        if let Some(t) = self.cache.lock().expect("cache lock").get(&key) {
+        if let Some(t) = self.map().get(&key) {
             self.slow_hits.fetch_add(1, Ordering::Relaxed);
             return *t;
         }
         let t = self.engine.evaluate(app, resource, n);
         {
-            let mut cache = self.cache.lock().expect("cache lock");
+            let mut cache = self.map();
             if let Some(&existing) = cache.get(&key) {
                 // Lost a concurrent-miss race: the other thread already
                 // published. Count ours as a hit so stats stay truthful.
@@ -277,9 +324,65 @@ impl CachedEngine {
         t
     }
 
-    /// Minimum predicted time over `1..=resource.nproc` and the processor
-    /// count achieving it (the inner minimisation of eq. 10), cached.
+    /// Minimum predicted time over `1..=resource.nproc` and the smallest
+    /// processor count achieving it (the inner minimisation of eq. 10);
+    /// bit-identical to [`PaceEngine::best_time`]. Same as
+    /// [`CachedEngine::best_time_on`] for the resource's platform and size.
     pub fn best_time(&self, app: &ApplicationModel, resource: &ResourceModel) -> (usize, f64) {
+        self.memoised_best(app, resource.platform.id, resource.nproc)
+            .unwrap_or_else(|| self.best_time_loop(app, resource))
+    }
+
+    /// [`CachedEngine::best_time`] on `nproc` nodes (at least 1) of
+    /// `platform`. A warm in-bounds key is one memo load plus one fast
+    /// table load — no loop over `k` and no [`ResourceModel`], which is
+    /// built only on a memo miss. The memo's publication discipline and
+    /// hit accounting are described in the [module docs](self).
+    pub fn best_time_on(
+        &self,
+        app: &ApplicationModel,
+        platform: &Platform,
+        nproc: usize,
+    ) -> (usize, f64) {
+        let nproc = nproc.max(1);
+        self.memoised_best(app, platform.id, nproc)
+            .unwrap_or_else(|| {
+                let model =
+                    ResourceModel::new(platform.clone(), nproc).expect("nproc is at least 1");
+                self.best_time_loop(app, &model)
+            })
+    }
+
+    /// The memo path: `(k, seconds)` when `(app, platform, nproc)` has a
+    /// published best `k` whose fast slot is still filled, counting the
+    /// `nproc` fast hits the warm loop would have counted.
+    fn memoised_best(
+        &self,
+        app: &ApplicationModel,
+        platform: u32,
+        nproc: usize,
+    ) -> Option<(usize, f64)> {
+        if !self.fast_enabled {
+            return None;
+        }
+        let s = self.dims.slot((app.id.0, platform, nproc as u32))?;
+        let k = self.best[s].load(Ordering::Relaxed);
+        if k == BEST_EMPTY {
+            return None;
+        }
+        // Slots of one (app, platform) row are contiguous in the
+        // processor count, so `k`'s prediction sits `nproc - k` below.
+        let bits = self.fast[s + k as usize - nproc].load(Ordering::Relaxed);
+        if bits == FAST_EMPTY {
+            return None; // raced an `invalidate`
+        }
+        self.fast_hits.fetch_add(nproc as u64, Ordering::Relaxed);
+        Some((k as usize, f64::from_bits(bits)))
+    }
+
+    /// The per-k loop (ties resolve to the smallest `k`), then memo
+    /// publication for in-bounds keys.
+    fn best_time_loop(&self, app: &ApplicationModel, resource: &ResourceModel) -> (usize, f64) {
         let mut best = (1, self.evaluate(app, resource, 1));
         for k in 2..=resource.nproc {
             let t = self.evaluate(app, resource, k);
@@ -287,7 +390,23 @@ impl CachedEngine {
                 best = (k, t);
             }
         }
+        let key = (app.id.0, resource.platform.id, resource.nproc as u32);
+        if let Some(s) = self.dims.slot(key).filter(|_| self.fast_enabled) {
+            let _map = self.map();
+            // Publish only while the whole row is filled, so a memo hit
+            // never stands in for a loop that would have missed.
+            let row = &self.fast[s + 1 - resource.nproc..=s];
+            if row.iter().all(|f| f.load(Ordering::Relaxed) != FAST_EMPTY) {
+                self.best[s].store(best.0 as u32, Ordering::Relaxed);
+            }
+        }
         best
+    }
+
+    /// The map, taken back from a poisoned lock if need be (see the
+    /// [module docs](self) for why that is sound).
+    fn map(&self) -> MutexGuard<'_, HashMap<Key, f64>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Current hit/miss counters.
@@ -302,7 +421,7 @@ impl CachedEngine {
 
     /// Number of distinct cached entries.
     pub fn len(&self) -> usize {
-        self.cache.lock().expect("cache lock").len()
+        self.map().len()
     }
 
     /// True when nothing has been cached yet.
@@ -317,15 +436,19 @@ impl CachedEngine {
         self.engine.evaluation_count()
     }
 
-    /// Drop all cached entries (counters are retained).
+    /// Drop all cached entries and memoised minima (counters are
+    /// retained).
     pub fn invalidate(&self) {
-        let mut cache = self.cache.lock().expect("cache lock");
+        let mut cache = self.map();
         cache.clear();
-        // Clear the fast table while holding the lock so no insert can
-        // interleave between the two clears and survive in one but not
-        // the other.
+        // Clear the dense tables while holding the lock so no insert or
+        // memo publication can interleave between the clears and survive
+        // in one but not the other.
         for slot in self.fast.iter() {
             slot.store(FAST_EMPTY, Ordering::Relaxed);
+        }
+        for slot in self.best.iter() {
+            slot.store(BEST_EMPTY, Ordering::Relaxed);
         }
     }
 }
@@ -333,17 +456,27 @@ impl CachedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::model::{AppId, ApplicationModel, ModelCurve, TabulatedModel};
-    use crate::platform::Platform;
 
     fn app(id: u32) -> ApplicationModel {
+        tabulated(id, vec![8.0, 5.0, 4.0])
+    }
+
+    fn tabulated(id: u32, times: Vec<f64>) -> ApplicationModel {
         ApplicationModel::new(
             AppId(id),
             "app",
-            ModelCurve::Tabulated(TabulatedModel::new(vec![8.0, 5.0, 4.0]).unwrap()),
+            ModelCurve::Tabulated(TabulatedModel::new(times).unwrap()),
             (1.0, 10.0),
         )
         .unwrap()
+    }
+
+    /// The memoised best `k` for `(app, platform, nproc)`, if published.
+    fn memo(c: &CachedEngine, app: &ApplicationModel, r: &ResourceModel) -> Option<u32> {
+        let s = c.dims.slot((app.id.0, r.platform.id, r.nproc as u32))?;
+        Some(c.best[s].load(Ordering::Relaxed)).filter(|k| *k != BEST_EMPTY)
     }
 
     fn resource() -> ResourceModel {
@@ -572,6 +705,154 @@ mod tests {
         c.invalidate();
         assert!(c.is_empty());
         assert_eq!(c.stats().misses, 1);
+    }
+
+    #[test]
+    fn memoised_best_time_is_bit_identical_to_the_loop() {
+        // Every case-study app on every case-study platform at every
+        // resource size: the cold call runs the loop, the warm calls go
+        // through the memo, and all of them equal the uncached engine.
+        let c = CachedEngine::new();
+        let raw = PaceEngine::new();
+        for platform in Platform::case_study_set() {
+            for a in Catalog::case_study().apps() {
+                for nproc in 1..=16 {
+                    let r = ResourceModel::new(platform.clone(), nproc).unwrap();
+                    let (k, s) = raw.best_time(a, &r);
+                    let want = (k, s.to_bits());
+                    let ctx = format!("{} / {} / {nproc}", platform.name, a.name);
+                    let cold = c.best_time(a, &r);
+                    assert_eq!((cold.0, cold.1.to_bits()), want, "{ctx}");
+                    assert_eq!(memo(&c, a, &r), Some(k as u32), "{ctx}: published");
+                    let warm = c.best_time(a, &r);
+                    assert_eq!((warm.0, warm.1.to_bits()), want, "{ctx}");
+                    let on = c.best_time_on(a, &platform, nproc);
+                    assert_eq!((on.0, on.1.to_bits()), want, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hits_count_exactly_what_the_warm_loop_counts() {
+        let memoised = CachedEngine::new();
+        let looped = CachedEngine::new();
+        let r = ResourceModel::new(Platform::sun_ultra5(), 16).unwrap();
+        for a in Catalog::case_study().apps() {
+            for _ in 0..5 {
+                memoised.best_time(a, &r);
+                for k in 1..=r.nproc {
+                    looped.evaluate(a, &r, k);
+                }
+            }
+        }
+        assert!(memoised.stats().hits > 0);
+        assert_eq!(memoised.stats(), looped.stats());
+        assert_eq!(memoised.engine_evaluations(), looped.engine_evaluations());
+    }
+
+    #[test]
+    fn invalidate_clears_the_memo() {
+        let c = CachedEngine::new();
+        let a = app(1);
+        let r = resource();
+        c.best_time(&a, &r);
+        c.best_time(&a, &r);
+        assert_eq!(memo(&c, &a, &r), Some(3));
+        c.invalidate();
+        assert_eq!(memo(&c, &a, &r), None);
+        c.best_time(&a, &r);
+        assert_eq!(c.stats().misses, 6, "every k is evaluated again");
+        assert_eq!(memo(&c, &a, &r), Some(3), "and the minimum republished");
+    }
+
+    #[test]
+    fn flat_curve_memoises_the_smallest_k() {
+        let c = CachedEngine::new();
+        let a = tabulated(2, vec![4.0, 4.0, 4.0]);
+        let r = resource();
+        assert_eq!(c.best_time(&a, &r), (1, 4.0));
+        let evals = c.engine_evaluations();
+        let hits = c.stats().fast_hits;
+        assert_eq!(c.best_time(&a, &r), (1, 4.0));
+        assert_eq!(memo(&c, &a, &r), Some(1));
+        assert_eq!(c.engine_evaluations(), evals, "the warm call is a memo hit");
+        assert_eq!(c.stats().fast_hits, hits + 3);
+    }
+
+    #[test]
+    fn unmemoised_engines_agree_with_the_memo() {
+        let memoised = CachedEngine::new();
+        let ablated = CachedEngine::new().without_fast_table();
+        let narrow =
+            CachedEngine::with_dims(Telemetry::disabled(), FastTableDims::for_matrix(1, 1, 2));
+        let a = tabulated(1, vec![9.0, 6.0, 5.0, 5.0, 7.0]);
+        for nproc in 1..=5 {
+            let r = ResourceModel::new(Platform::sgi_origin2000(), nproc).unwrap();
+            for _ in 0..2 {
+                let want = memoised.best_time(&a, &r);
+                assert_eq!(ablated.best_time(&a, &r), want, "nproc {nproc}");
+                assert_eq!(narrow.best_time(&a, &r), want, "nproc {nproc}");
+            }
+            assert_eq!(memo(&ablated, &a, &r), None, "the ablation has no memo");
+        }
+        // Sizes 3..=5 are beyond the narrow table's two processor counts.
+        let r = ResourceModel::new(Platform::sgi_origin2000(), 5).unwrap();
+        assert_eq!(memo(&narrow, &a, &r), None);
+        assert_eq!(memoised.stats().hits, ablated.stats().hits);
+        assert_eq!(memoised.stats().hits, narrow.stats().hits);
+    }
+
+    #[test]
+    fn concurrent_cold_best_time_calls_agree() {
+        use std::sync::Barrier;
+        let c = CachedEngine::new();
+        let a = tabulated(4, vec![8.0, 3.0, 3.0, 6.0]);
+        let r = ResourceModel::new(Platform::sun_ultra10(), 4).unwrap();
+        let barrier = Barrier::new(4);
+        let results: Vec<(usize, f64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        c.best_time(&a, &r)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("best_time thread"))
+                .collect()
+        });
+        let want = PaceEngine::new().best_time(&a, &r);
+        assert!(results.iter().all(|got| *got == want), "{results:?}");
+        assert_eq!(memo(&c, &a, &r), Some(2));
+        let s = c.stats();
+        assert_eq!(s.hits + s.misses, 16, "every per-k request is counted once");
+        assert_eq!(s.misses, 4, "each k misses exactly once");
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_stop_evaluation() {
+        let c = CachedEngine::new();
+        let a = app(1);
+        let r = resource();
+        c.evaluate(&a, &r, 1);
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = c.cache.lock();
+                panic!("poison the cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(c.cache.is_poisoned());
+        // Miss (get + insert), hit, memo and clear all still work.
+        assert_eq!(c.evaluate(&a, &r, 3), 4.0);
+        assert_eq!(c.best_time(&a, &r), (3, 4.0));
+        assert_eq!(c.len(), 3);
+        c.invalidate();
+        assert!(c.is_empty());
+        assert_eq!(c.evaluate(&a, &r, 2), 5.0);
     }
 
     #[test]

@@ -102,7 +102,8 @@ proptest! {
         }
     }
 
-    /// best_time really is the minimum over all processor counts.
+    /// best_time really is the minimum over all processor counts, and
+    /// the memoised second call is bit-identical to the uncached engine.
     #[test]
     fn best_time_is_the_minimum(
         curve in arb_curve(),
@@ -111,7 +112,11 @@ proptest! {
         let app = ApplicationModel::new(AppId(1), "b", curve, (1.0, 10.0)).unwrap();
         let resource = ResourceModel::new(Platform::sgi_origin2000(), nproc).unwrap();
         let engine = CachedEngine::new();
+        let (want_k, want_t) = PaceEngine::new().best_time(&app, &resource);
         let (k, t) = engine.best_time(&app, &resource);
+        prop_assert_eq!((k, t.to_bits()), (want_k, want_t.to_bits()));
+        let (k, t) = engine.best_time(&app, &resource);
+        prop_assert_eq!((k, t.to_bits()), (want_k, want_t.to_bits()));
         prop_assert!(k >= 1 && k <= nproc);
         for other in 1..=nproc {
             prop_assert!(t <= engine.evaluate(&app, &resource, other) + 1e-12);

@@ -450,19 +450,30 @@ impl SchedulerSystem {
     pub fn on_task_complete(&mut self, id: TaskId, now: SimTime) -> Vec<StartedTask> {
         if let Some(pos) = self.running.iter().position(|r| r.task.id == id) {
             let r = self.running.swap_remove(pos);
+            // A completion at any other instant is a stale event processed
+            // as real. Release builds report it to the invariant checker
+            // (a correct run never emits this, so its stream is unchanged);
+            // debug builds also stop here.
+            if r.completion != now {
+                self.telemetry
+                    .emit(now.ticks(), || Event::CompletionMisfire {
+                        task: id.0,
+                        resource: self.resource.name().to_string(),
+                        announced: r.completion.ticks(),
+                    });
+            }
             debug_assert!(r.completion == now, "completion event at the wrong instant");
             let deadline = r.task.deadline;
             let met = r.completion <= deadline;
-            self.telemetry
-                .emit(r.completion.ticks(), || Event::TaskFinish {
-                    task: id.0,
-                    resource: self.resource.name().to_string(),
-                    deadline_met: met,
-                });
+            self.telemetry.emit(now.ticks(), || Event::TaskFinish {
+                task: id.0,
+                resource: self.resource.name().to_string(),
+                deadline_met: met,
+            });
             if !met {
                 let late = r.completion.saturating_since(deadline);
                 self.telemetry
-                    .emit(r.completion.ticks(), || Event::TaskDeadlineMiss {
+                    .emit(now.ticks(), || Event::TaskDeadlineMiss {
                         task: id.0,
                         resource: self.resource.name().to_string(),
                         late: late.ticks(),

@@ -62,6 +62,18 @@ pub enum Event {
         /// Ticks past the deadline at completion.
         late: Micros,
     },
+    /// A completion event reached a scheduler at an instant other than
+    /// the completion its running task announced when it started — a
+    /// stale completion of an earlier incarnation processed as real.
+    /// Never emitted by a correct run; the invariant checker flags it.
+    CompletionMisfire {
+        /// Task id.
+        task: u64,
+        /// Executing resource.
+        resource: String,
+        /// The completion instant the running task announced, in ticks.
+        announced: Micros,
+    },
     /// Discovery gave up on a task (no capable resource found).
     TaskReject {
         /// Task id.
@@ -344,6 +356,7 @@ impl Event {
             Event::TaskStart { .. } => "task_start",
             Event::TaskFinish { .. } => "task_finish",
             Event::TaskDeadlineMiss { .. } => "task_deadline_miss",
+            Event::CompletionMisfire { .. } => "completion_misfire",
             Event::TaskReject { .. } => "task_reject",
             Event::GaGeneration { .. } => "ga_generation",
             Event::GaEvolve { .. } => "ga_evolve",
@@ -379,6 +392,7 @@ impl Event {
             | Event::TaskStart { resource, .. }
             | Event::TaskFinish { resource, .. }
             | Event::TaskDeadlineMiss { resource, .. }
+            | Event::CompletionMisfire { resource, .. }
             | Event::TaskReject { resource, .. }
             | Event::GaGeneration { resource, .. }
             | Event::GaEvolve { resource, .. }
@@ -464,6 +478,15 @@ impl TimedEvent {
                 push("task", json::num(*task as f64));
                 push("resource", json::s(resource.clone()));
                 push("late", json::num(*late as f64));
+            }
+            Event::CompletionMisfire {
+                task,
+                resource,
+                announced,
+            } => {
+                push("task", json::num(*task as f64));
+                push("resource", json::s(resource.clone()));
+                push("announced", json::num(*announced as f64));
             }
             Event::TaskReject { task, resource } => {
                 push("task", json::num(*task as f64));
@@ -706,6 +729,11 @@ impl TimedEvent {
                 resource: str_field("resource")?,
                 late: u64_field("late")?,
             },
+            "completion_misfire" => Event::CompletionMisfire {
+                task: u64_field("task")?,
+                resource: str_field("resource")?,
+                announced: u64_field("announced")?,
+            },
             "task_reject" => Event::TaskReject {
                 task: u64_field("task")?,
                 resource: str_field("resource")?,
@@ -871,6 +899,11 @@ pub(crate) fn one_of_each_variant() -> Vec<TimedEvent> {
             task: 2,
             resource: name("S3"),
             late: 777,
+        },
+        Event::CompletionMisfire {
+            task: 2,
+            resource: name("S3"),
+            announced: 9_000,
         },
         Event::TaskReject {
             task: 3,

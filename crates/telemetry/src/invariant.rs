@@ -11,6 +11,11 @@
 //! - **Exactly-once completion** — a task id finishes at most once,
 //!   even when chaos crashes lose and resubmit it (the dedup set and
 //!   the stale-completion guard in the grid exist to uphold this).
+//! - **Completion instant** — a running task finishes at the completion
+//!   it announced when it started. A scheduler that is handed a
+//!   completion at any other instant reports an
+//!   [`Event::CompletionMisfire`], which is always a violation; this is
+//!   the release-build counterpart of the scheduler's debug assertion.
 //! - **Causal ordering** — a task never starts more often than it was
 //!   submitted and never finishes more often than it started; in
 //!   [`CheckMode::Strict`] (chaos-free) streams each happens at most
@@ -264,6 +269,21 @@ impl Recorder for InvariantRecorder {
                 }
                 s.max_finish_t = s.max_finish_t.max(t);
             }
+            Event::CompletionMisfire {
+                task,
+                resource,
+                announced,
+            } => {
+                push(
+                    s,
+                    t,
+                    "completion-instant",
+                    format!(
+                        "task {task} on {resource} completed at {t}us, \
+                         not at its announced {announced}us"
+                    ),
+                );
+            }
             Event::TaskDeadlineMiss { task, .. } => {
                 let finishes = s.tasks.get(&task).map_or(0, |c| c.finishes);
                 if finishes == 0 {
@@ -437,6 +457,24 @@ mod tests {
             rec.record(5, finish(1));
             rec.record(6, finish(1));
             assert!(names(&rec).contains(&"exactly-once-completion"));
+        }
+    }
+
+    #[test]
+    fn completion_misfire_caught_in_both_modes() {
+        for rec in [InvariantRecorder::strict(), InvariantRecorder::chaos()] {
+            rec.record(0, submit(1));
+            rec.record(1, start(1));
+            rec.record(
+                3,
+                Event::CompletionMisfire {
+                    task: 1,
+                    resource: "S1".into(),
+                    announced: 5,
+                },
+            );
+            rec.record(3, finish(1));
+            assert_eq!(names(&rec), vec!["completion-instant"]);
         }
     }
 

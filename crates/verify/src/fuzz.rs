@@ -9,7 +9,10 @@
 //!   `cargo test` and `cargo run` are debug builds, so the internal
 //!   counter-consistency and completion-instant checks are live);
 //! - an **invariant violation** from the recorder (exactly-once
-//!   completion, freetime soundness, GA legitimacy, …);
+//!   completion, completion instant, freetime soundness, GA legitimacy,
+//!   …) — the completion-instant check is what catches a stale
+//!   completion processed as real in release builds, where the
+//!   scheduler's debug assertion is compiled out;
 //! - a **task-accounting mismatch** (completed + rejected ≠ requested),
 //!   which also catches exactly-once bugs in release builds where the
 //!   debug assertions are compiled out.

@@ -4,9 +4,10 @@
 //! exactly-once protections — the stale-completion guard and the
 //! completion-dedup set — recreating exactly the bug they exist to
 //! prevent: a completion event scheduled for a pre-crash incarnation of
-//! a task is processed as if it were real. The fuzzer must notice
-//! (via a debug assertion panic in debug builds, or task accounting in
-//! release) and shrink the scenario to a tiny reproducible case.
+//! a task is processed as if it were real. The fuzzer must notice (via
+//! a debug assertion panic in debug builds, or the invariant checker's
+//! completion-instant violation in release) and shrink the scenario to a
+//! tiny reproducible case — in both profiles.
 
 use agentgrid_verify::fuzz::{shrink, FuzzCase};
 use agentgrid_workload::PolicyKind;
