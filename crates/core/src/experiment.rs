@@ -52,8 +52,7 @@ pub struct RunOptions {
     /// Agent-subtree shards the event loop batches advertisement pulls
     /// over (DESIGN.md §13). `1` (the default) is the plain sequential
     /// loop; any value yields bit-identical results — sharding moves
-    /// cost, never outcomes. [`RunOptions::paper`] reads the `SHARDS`
-    /// environment variable.
+    /// cost, never outcomes.
     pub shards: usize,
     /// Worker threads for shard batches (`None` = available
     /// parallelism, capped at the shard count). Performance-only: the
@@ -77,7 +76,7 @@ impl RunOptions {
             telemetry: Telemetry::disabled(),
             chaos: FaultPlan::none(),
             step_limit: None,
-            shards: env_shards(),
+            shards: 1,
             shard_workers: None,
         }
     }
@@ -102,15 +101,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions::paper()
     }
-}
-
-/// The `SHARDS` environment override (default 1, clamped to ≥ 1).
-fn env_shards() -> usize {
-    std::env::var("SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or(1)
 }
 
 /// Thread-local recycling pool for grid event queues. Serve mode and

@@ -154,16 +154,25 @@ impl ScheduleCost {
 /// within one population, 1 for the best (minimum) cost and 0 for the
 /// worst. Degenerate populations (all equal) get uniform fitness 1.
 pub fn scale_fitness(costs: &[f64]) -> Vec<f64> {
+    let mut fitness = Vec::with_capacity(costs.len());
+    scale_fitness_into(costs, &mut fitness);
+    fitness
+}
+
+/// [`scale_fitness`] into `fitness` (overwritten, its buffer reused).
+pub fn scale_fitness_into(costs: &[f64], fitness: &mut Vec<f64>) {
+    fitness.clear();
     if costs.is_empty() {
-        return Vec::new();
+        return;
     }
     let max = costs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let min = costs.iter().copied().fold(f64::INFINITY, f64::min);
     let span = max - min;
     if span <= 0.0 || !span.is_finite() {
-        return vec![1.0; costs.len()];
+        fitness.resize(costs.len(), 1.0);
+        return;
     }
-    costs.iter().map(|c| (max - c) / span).collect()
+    fitness.extend(costs.iter().map(|c| (max - c) / span));
 }
 
 #[cfg(test)]

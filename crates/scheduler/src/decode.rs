@@ -481,9 +481,13 @@ pub fn evaluate_delta(
     if d == m {
         if let Some((_, pmemo)) = parent {
             // Identical to the parent (elite copy, no-op offspring):
-            // the whole evaluation is memoised.
+            // the whole evaluation is memoised. It is copied into the
+            // memo's own buffers, so no allocation once they have grown.
             if m > 0 {
-                memo.clone_from(pmemo);
+                memo.adopt_prefix(pmemo, m);
+                memo.summary = pmemo.summary;
+                memo.cost = pmemo.cost;
+                memo.valid = true;
                 memo.decoded_positions = 0;
                 return memo.cost;
             }
@@ -562,25 +566,24 @@ pub fn evaluate_delta(
     #[cfg(debug_assertions)]
     if d > 0 {
         // Every delta resume cross-checks against a from-scratch decode,
-        // so the whole test suite doubles as a bit-equality oracle.
-        let mut fresh = DecodeMemo::default();
-        let mut fresh_scratch = DecodeScratch::default();
-        let fresh_cost = evaluate_delta(
-            view,
-            ctx,
-            solution,
-            None,
-            &mut fresh,
-            &mut fresh_scratch,
-            weights,
-        );
-        debug_assert_eq!(cost.to_bits(), fresh_cost.to_bits(), "delta cost drifted");
-        let fs = fresh.summary.expect("fresh eval summarised");
-        debug_assert_eq!(summary.makespan, fs.makespan);
-        debug_assert_eq!(summary.lateness_s.to_bits(), fs.lateness_s.to_bits());
-        debug_assert_eq!(summary.alloc_node_s.to_bits(), fs.alloc_node_s.to_bits());
-        debug_assert_eq!(memo.pocket_offsets, fresh.pocket_offsets);
-        debug_assert_eq!(memo.pocket_lengths, fresh.pocket_lengths);
+        // so the whole test suite doubles as a bit-equality oracle. The
+        // oracle's buffers are reused per thread, so debug builds
+        // allocate no more than release builds do.
+        thread_local! {
+            static ORACLE: std::cell::RefCell<(DecodeMemo, DecodeScratch)> =
+                std::cell::RefCell::default();
+        }
+        ORACLE.with_borrow_mut(|(fresh, fresh_scratch)| {
+            let fresh_cost =
+                evaluate_delta(view, ctx, solution, None, fresh, fresh_scratch, weights);
+            debug_assert_eq!(cost.to_bits(), fresh_cost.to_bits(), "delta cost drifted");
+            let fs = fresh.summary.expect("fresh eval summarised");
+            debug_assert_eq!(summary.makespan, fs.makespan);
+            debug_assert_eq!(summary.lateness_s.to_bits(), fs.lateness_s.to_bits());
+            debug_assert_eq!(summary.alloc_node_s.to_bits(), fs.alloc_node_s.to_bits());
+            debug_assert_eq!(memo.pocket_offsets, fresh.pocket_offsets);
+            debug_assert_eq!(memo.pocket_lengths, fresh.pocket_lengths);
+        });
     }
 
     cost

@@ -9,13 +9,13 @@
 //! ordering/mapping building blocks survive system changes — the property
 //! the paper highlights as the reason for choosing an evolutionary method.
 
-use crate::cost::{scale_fitness, CostWeights, ScheduleCost};
+use crate::cost::{scale_fitness_into, CostWeights, ScheduleCost};
 use crate::decode::{
     decode, decode_into, DecodeMemo, DecodeScratch, DecodedSchedule, EvalContext, ResourceView,
 };
-use crate::ga::ops::{crossover, mutate};
+use crate::ga::ops::{crossover_into, mutate};
 use crate::ga::par::{self, Lineage};
-use crate::ga::select::stochastic_remainder;
+use crate::ga::select::stochastic_remainder_into;
 use crate::solution::Solution;
 use crate::task::Task;
 use agentgrid_cluster::NodeMask;
@@ -47,7 +47,6 @@ pub struct GaConfig {
     /// OS threads for population fitness evaluation (1 = sequential).
     /// Results are bit-identical for any value — parallelism only moves
     /// chunk boundaries, never an RNG draw (see [`crate::ga::par`]).
-    /// Defaults from the `GA_THREADS` environment variable when set.
     pub threads: usize,
     /// Reuse per-worker [`DecodeScratch`] buffers between evaluations
     /// (false = allocate fresh per decode, the pre-optimisation path;
@@ -57,8 +56,7 @@ pub struct GaConfig {
     /// single-population path, which preserves the historical decision
     /// stream exactly). Island RNG streams are keyed by island *index*,
     /// never by thread id, so results depend only on this count — any
-    /// `threads` value replays the identical evolution. Defaults from
-    /// the `GA_ISLANDS` environment variable when set.
+    /// `threads` value replays the identical evolution.
     pub islands: usize,
     /// Generations each island evolves between best-individual ring
     /// migrations (island mode only).
@@ -84,22 +82,6 @@ impl GaConfig {
     }
 }
 
-/// Evaluation-thread default: `GA_THREADS` when set and sane, else 1.
-fn threads_from_env() -> usize {
-    std::env::var("GA_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.clamp(1, 64))
-}
-
-/// Island-count default: `GA_ISLANDS` when set and sane, else 1.
-fn islands_from_env() -> usize {
-    std::env::var("GA_ISLANDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(1, |n| n.clamp(1, 64))
-}
-
 impl Default for GaConfig {
     fn default() -> Self {
         GaConfig {
@@ -111,9 +93,9 @@ impl Default for GaConfig {
             bit_mutation_rate: 0.02,
             elitism: 2,
             weights: CostWeights::default(),
-            threads: threads_from_env(),
+            threads: 1,
             reuse_scratch: true,
-            islands: islands_from_env(),
+            islands: 1,
             migration_interval: 5,
             delta: true,
         }
@@ -156,6 +138,8 @@ pub struct GaScheduler {
     memos_next: Vec<DecodeMemo>,
     /// Per-offspring parent indices recorded by the breeding loop.
     lineage: Vec<Lineage>,
+    /// Breeding buffers of the single-population loop.
+    nursery: Nursery,
 }
 
 impl GaScheduler {
@@ -178,6 +162,7 @@ impl GaScheduler {
             memos: Vec::new(),
             memos_next: Vec::new(),
             lineage: Vec::new(),
+            nursery: Nursery::default(),
         }
     }
 
@@ -410,59 +395,17 @@ impl GaScheduler {
             }
             generations += 1;
 
-            let fitness = scale_fitness(&costs);
-            let offspring_slots = self.config.population - self.config.elitism;
-            let parents = stochastic_remainder(&fitness, offspring_slots, &mut self.rng);
-
-            // Elites survive unchanged; their lineage points at
-            // themselves, so the delta pass copies their memoised cost
-            // without decoding a single position.
-            let mut next: Vec<Solution> = Vec::with_capacity(self.config.population);
-            self.lineage.clear();
-            let elite_indices = k_smallest(&costs, self.config.elitism);
-            for &i in &elite_indices {
-                next.push(self.population[i].clone());
-                self.lineage.push(Lineage::Parent(i));
-            }
-
-            // Pair parents, recombine, mutate. Each child's lineage is
-            // the parent contributing its prefix (crossover splices the
-            // head of `a` onto `b` and vice versa).
-            let mut pi = 0;
-            while next.len() < self.config.population {
-                let ia = parents[pi % parents.len()];
-                let ib = parents[(pi + 1) % parents.len()];
-                let pa = &self.population[ia];
-                let pb = &self.population[ib];
-                pi += 2;
-                let (mut c1, mut c2) = if self.rng.gen::<f64>() < self.config.crossover_rate {
-                    crossover(pa, pb, nproc, &mut self.rng)
-                } else {
-                    (pa.clone(), pb.clone())
-                };
-                mutate(
-                    &mut c1,
-                    nproc,
-                    self.config.order_mutation_rate,
-                    self.config.bit_mutation_rate,
-                    &mut self.rng,
-                );
-                next.push(c1);
-                self.lineage.push(Lineage::Parent(ia));
-                if next.len() < self.config.population {
-                    mutate(
-                        &mut c2,
-                        nproc,
-                        self.config.order_mutation_rate,
-                        self.config.bit_mutation_rate,
-                        &mut self.rng,
-                    );
-                    next.push(c2);
-                    self.lineage.push(Lineage::Parent(ib));
-                }
-            }
-
-            let prev = std::mem::replace(&mut self.population, next);
+            breed(
+                &mut self.population,
+                &costs,
+                self.config.elitism,
+                nproc,
+                &self.config,
+                &mut self.rng,
+                &mut self.lineage,
+                &mut self.nursery,
+            );
+            let prev = &self.nursery.next;
             let stats = if delta {
                 let s = par::evaluate_delta_into(
                     threads,
@@ -470,7 +413,7 @@ impl GaScheduler {
                     ctx,
                     &self.population,
                     &self.lineage,
-                    &prev,
+                    prev,
                     &self.memos,
                     &mut self.memos_next,
                     &mut costs,
@@ -499,7 +442,7 @@ impl GaScheduler {
             if gen_best_cost + 1e-12 < best_cost {
                 best_cost = gen_best_cost;
                 best_idx = gen_best_idx;
-                best_solution = self.population[gen_best_idx].clone();
+                best_solution.clone_from(&self.population[gen_best_idx]);
                 stall = 0;
             } else {
                 stall += 1;
@@ -549,12 +492,10 @@ impl GaScheduler {
                 memos_next: Vec::new(),
                 lineage: Vec::new(),
                 scratches: Vec::new(),
+                nursery: Nursery::default(),
                 rng: RngStream::root(epoch).derive(&format!("island-{i}")),
                 best_cost: f64::INFINITY,
-                best: Solution {
-                    order: vec![],
-                    mapping: vec![],
-                },
+                best: Solution::default(),
                 gen_stats: Vec::new(),
                 evaluations: 0,
                 decoded: 0,
@@ -588,7 +529,7 @@ impl GaScheduler {
             isl.decoded += stats.decoded_positions;
             let (bi, bc) = argmin(&isl.costs);
             isl.best_cost = bc;
-            isl.best = isl.solutions[bi].clone();
+            isl.best.clone_from(&isl.solutions[bi]);
         });
         search.passes += 1;
         search.util_sum += island_util;
@@ -753,7 +694,7 @@ impl SearchStats {
 /// One island subpopulation with everything its evolution touches, so a
 /// burst can run on any worker thread without shared state: solutions,
 /// costs, double-buffered memos, its own RNG stream (keyed by island
-/// index at construction) and decode scratch.
+/// index at construction), decode scratch and breeding buffers.
 struct Island {
     solutions: Vec<Solution>,
     costs: Vec<f64>,
@@ -761,6 +702,7 @@ struct Island {
     memos_next: Vec<DecodeMemo>,
     lineage: Vec<Lineage>,
     scratches: Vec<DecodeScratch>,
+    nursery: Nursery,
     rng: RngStream,
     /// Best cost ever observed on this island (elites may still lose it
     /// when `elitism` is 0, so it is tracked, not derived).
@@ -771,6 +713,109 @@ struct Island {
     gen_stats: Vec<(f64, f64)>,
     evaluations: u64,
     decoded: u64,
+}
+
+/// Reusable buffers of [`breed`], so a generation allocates nothing once
+/// they have grown to the population and task counts.
+#[derive(Default)]
+struct Nursery {
+    /// The generation being bred. Once [`breed`] swaps it with the
+    /// population it holds the previous generation: the parents the
+    /// delta pass resumes from.
+    next: Vec<Solution>,
+    /// Second child of a last pair with no slot left. It is bred (its
+    /// repair draws belong to the stream) and then dropped.
+    spare: Solution,
+    fitness: Vec<f64>,
+    parents: Vec<usize>,
+    remainders: Vec<f64>,
+    elites: Vec<usize>,
+    taken: Vec<bool>,
+}
+
+/// One generation of selection, elitism, crossover and mutation, the
+/// same for the single population and for every island: breeds the
+/// successor of `population` (scored by `costs`) into `nursery.next`,
+/// records each offspring's lineage, and swaps the two, so `population`
+/// holds the offspring and `nursery.next` their parents.
+#[allow(clippy::too_many_arguments)]
+fn breed(
+    population: &mut Vec<Solution>,
+    costs: &[f64],
+    elitism: usize,
+    nproc: usize,
+    config: &GaConfig,
+    rng: &mut RngStream,
+    lineage: &mut Vec<Lineage>,
+    nursery: &mut Nursery,
+) {
+    let pop = population.len();
+    let n = nursery;
+    scale_fitness_into(costs, &mut n.fitness);
+    stochastic_remainder_into(
+        &n.fitness,
+        pop - elitism,
+        rng,
+        &mut n.parents,
+        &mut n.remainders,
+    );
+    n.next.resize_with(pop, Solution::default);
+
+    // Elites survive unchanged; their lineage points at themselves, so
+    // the delta pass copies their memoised cost without decoding a
+    // single position.
+    lineage.clear();
+    k_smallest_into(costs, elitism, &mut n.elites);
+    for (slot, &i) in n.next.iter_mut().zip(&n.elites) {
+        slot.clone_from(&population[i]);
+        lineage.push(Lineage::Parent(i));
+    }
+
+    // Pair parents, recombine, mutate. Each child's lineage is the
+    // parent contributing its prefix (crossover splices the head of `a`
+    // onto `b` and vice versa).
+    let parents = &n.parents;
+    let mut filled = elitism;
+    let mut pi = 0;
+    while filled < pop {
+        let ia = parents[pi % parents.len()];
+        let ib = parents[(pi + 1) % parents.len()];
+        pi += 2;
+        let (pa, pb) = (&population[ia], &population[ib]);
+        let (c1, c2) = if filled + 1 < pop {
+            let (head, tail) = n.next.split_at_mut(filled + 1);
+            (&mut head[filled], &mut tail[0])
+        } else {
+            (&mut n.next[filled], &mut n.spare)
+        };
+        if rng.gen::<f64>() < config.crossover_rate {
+            crossover_into(pa, pb, nproc, rng, c1, c2, &mut n.taken);
+        } else {
+            c1.clone_from(pa);
+            c2.clone_from(pb);
+        }
+        mutate(
+            c1,
+            nproc,
+            config.order_mutation_rate,
+            config.bit_mutation_rate,
+            rng,
+        );
+        lineage.push(Lineage::Parent(ia));
+        filled += 1;
+        if filled < pop {
+            mutate(
+                c2,
+                nproc,
+                config.order_mutation_rate,
+                config.bit_mutation_rate,
+                rng,
+            );
+            lineage.push(Lineage::Parent(ib));
+            filled += 1;
+        }
+    }
+    std::mem::swap(population, &mut n.next);
 }
 
 /// Advance one island by `gens` generations: the same
@@ -790,51 +835,16 @@ fn island_burst(
     let pop = isl.solutions.len();
     let elitism = config.elitism.min(pop.saturating_sub(2));
     for _ in 0..gens {
-        let fitness = scale_fitness(&isl.costs);
-        let offspring_slots = pop - elitism;
-        let parents = stochastic_remainder(&fitness, offspring_slots, &mut isl.rng);
-
-        let mut next: Vec<Solution> = Vec::with_capacity(pop);
-        isl.lineage.clear();
-        for &i in &k_smallest(&isl.costs, elitism) {
-            next.push(isl.solutions[i].clone());
-            isl.lineage.push(Lineage::Parent(i));
-        }
-        let mut pi = 0;
-        while next.len() < pop {
-            let ia = parents[pi % parents.len()];
-            let ib = parents[(pi + 1) % parents.len()];
-            pi += 2;
-            let pa = &isl.solutions[ia];
-            let pb = &isl.solutions[ib];
-            let (mut c1, mut c2) = if isl.rng.gen::<f64>() < config.crossover_rate {
-                crossover(pa, pb, nproc, &mut isl.rng)
-            } else {
-                (pa.clone(), pb.clone())
-            };
-            mutate(
-                &mut c1,
-                nproc,
-                config.order_mutation_rate,
-                config.bit_mutation_rate,
-                &mut isl.rng,
-            );
-            next.push(c1);
-            isl.lineage.push(Lineage::Parent(ia));
-            if next.len() < pop {
-                mutate(
-                    &mut c2,
-                    nproc,
-                    config.order_mutation_rate,
-                    config.bit_mutation_rate,
-                    &mut isl.rng,
-                );
-                next.push(c2);
-                isl.lineage.push(Lineage::Parent(ib));
-            }
-        }
-
-        let prev = std::mem::replace(&mut isl.solutions, next);
+        breed(
+            &mut isl.solutions,
+            &isl.costs,
+            elitism,
+            nproc,
+            config,
+            &mut isl.rng,
+            &mut isl.lineage,
+            &mut isl.nursery,
+        );
         let stats = if config.delta {
             let s = par::evaluate_delta_into(
                 1,
@@ -842,7 +852,7 @@ fn island_burst(
                 ctx,
                 &isl.solutions,
                 &isl.lineage,
-                &prev,
+                &isl.nursery.next,
                 &isl.memos,
                 &mut isl.memos_next,
                 &mut isl.costs,
@@ -873,7 +883,7 @@ fn island_burst(
         let (bi, bc) = argmin(&isl.costs);
         if bc + 1e-12 < isl.best_cost {
             isl.best_cost = bc;
-            isl.best = isl.solutions[bi].clone();
+            isl.best.clone_from(&isl.solutions[bi]);
         }
         isl.gen_stats.push((bc, isl.costs.iter().sum()));
     }
@@ -944,12 +954,18 @@ fn argmax(costs: &[f64]) -> (usize, f64) {
     worst
 }
 
-/// Indices of the `k` smallest costs (stable by index).
-fn k_smallest(costs: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..costs.len()).collect();
-    idx.sort_by(|a, b| costs[*a].partial_cmp(&costs[*b]).expect("finite costs"));
+/// Indices of the `k` smallest costs into `idx`, ties to the lower index
+/// (the order a stable sort gives).
+fn k_smallest_into(costs: &[f64], k: usize, idx: &mut Vec<usize>) {
+    idx.clear();
+    idx.extend(0..costs.len());
+    idx.sort_unstable_by(|a, b| {
+        costs[*a]
+            .partial_cmp(&costs[*b])
+            .expect("finite costs")
+            .then(a.cmp(b))
+    });
     idx.truncate(k);
-    idx
 }
 
 #[cfg(test)]
@@ -1014,10 +1030,9 @@ mod tests {
     #[test]
     fn ga_beats_or_matches_random_solutions() {
         let engine = CachedEngine::new();
-        // Quality claim about the single-population search; pin islands
-        // so a GA_ISLANDS environment override (the CI island leg)
-        // doesn't shrink this already-tiny population into fragments
-        // that search marginally worse.
+        // Quality claim about the single-population search: islands
+        // would split this already-tiny population into fragments that
+        // search marginally worse.
         let config = GaConfig {
             islands: 1,
             ..GaConfig::default()

@@ -11,7 +11,7 @@
 //! bit-flip applied to the mapping parts."
 
 use crate::solution::Solution;
-use agentgrid_cluster::NodeMask;
+use agentgrid_cluster::{NodeMask, MAX_NODES};
 use rand::Rng;
 
 /// Order-splice crossover of the ordering parts plus single-point binary
@@ -23,15 +23,34 @@ pub fn crossover(
     nproc: usize,
     rng: &mut impl Rng,
 ) -> (Solution, Solution) {
+    let (mut child1, mut child2) = (Solution::default(), Solution::default());
+    crossover_into(a, b, nproc, rng, &mut child1, &mut child2, &mut Vec::new());
+    (child1, child2)
+}
+
+/// [`crossover`] writing the children over `child1` and `child2` in
+/// place, reusing their buffers and `taken` (scratch, any contents) — no
+/// allocation once the buffers have grown to the task count.
+pub fn crossover_into(
+    a: &Solution,
+    b: &Solution,
+    nproc: usize,
+    rng: &mut impl Rng,
+    child1: &mut Solution,
+    child2: &mut Solution,
+    taken: &mut Vec<bool>,
+) {
     let m = a.len();
     debug_assert_eq!(m, b.len(), "parents must schedule the same task set");
     if m < 2 {
-        return (a.clone(), b.clone());
+        child1.clone_from(a);
+        child2.clone_from(b);
+        return;
     }
 
     let cut = rng.gen_range(1..m);
-    let mut child1 = splice(a, b, cut);
-    let mut child2 = splice(b, a, cut);
+    splice_into(a, b, cut, child1, taken);
+    splice_into(b, a, cut, child2, taken);
 
     // Single-point binary crossover over the concatenated mapping strings
     // (m × nproc bits). Positions wholly below the point keep their own
@@ -52,36 +71,58 @@ pub fn crossover(
         // point >= hi: both keep their own masks.
     }
 
-    repair(&mut child1, nproc, rng);
-    repair(&mut child2, nproc, rng);
-    (child1, child2)
+    repair(child1, nproc, rng);
+    repair(child2, nproc, rng);
 }
 
-/// Build one child: `first`'s ordering prefix up to `cut`, then the
-/// remaining tasks in the relative order they appear in `second`; each
-/// task keeps the node mapping it had in the parent that contributed it.
-fn splice(first: &Solution, second: &Solution, cut: usize) -> Solution {
-    let m = first.len();
-    let mut order = Vec::with_capacity(m);
-    let mut mapping = Vec::with_capacity(m);
-    let mut taken = vec![false; m];
+/// Build one child in `out`: `first`'s ordering prefix up to `cut`, then
+/// the remaining tasks in the relative order they appear in `second`;
+/// each task keeps the node mapping it had in the parent that
+/// contributed it.
+fn splice_into(
+    first: &Solution,
+    second: &Solution,
+    cut: usize,
+    out: &mut Solution,
+    taken: &mut Vec<bool>,
+) {
+    out.order.clear();
+    out.mapping.clear();
+    taken.clear();
+    taken.resize(first.len(), false);
     for p in 0..cut {
         let t = first.order[p];
         taken[t] = true;
-        order.push(t);
-        mapping.push(first.mapping[p]);
+        out.order.push(t);
+        out.mapping.push(first.mapping[p]);
     }
     for (p, &t) in second.order.iter().enumerate() {
         if !taken[t] {
-            order.push(t);
-            mapping.push(second.mapping[p]);
+            out.order.push(t);
+            out.mapping.push(second.mapping[p]);
         }
     }
-    Solution { order, mapping }
+}
+
+/// The integer form of the per-bit test `rng.gen::<f64>() < rate`.
+///
+/// `gen::<f64>()` is `(u >> 11) · 2⁻⁵³` for the next `u64` `u`, and both
+/// the conversion of a 53-bit integer and the scaling by a power of two
+/// are exact in `f64`, as is `rate · 2⁵³`. So the draw is below `rate`
+/// exactly when the integer `u >> 11` is below the real `rate · 2⁵³`,
+/// i.e. below its ceiling. Rates ≤ 0 (and NaN) give 0, which no draw
+/// beats; rates ≥ 1 give at least 2⁵³, which every draw beats.
+fn flip_threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Two-part mutation: with probability `order_rate` switch two random
 /// ordering positions; flip each mapping bit with probability `bit_rate`.
+///
+/// The bit flips consume one `u64` per node bit, mask by mask, exactly as
+/// a `gen::<f64>() < bit_rate` test per bit would; each mask's `nproc`
+/// draws arrive in one [`rand::RngCore::fill_bytes`] call and become a
+/// flip mask through [`flip_threshold`].
 pub fn mutate(s: &mut Solution, nproc: usize, order_rate: f64, bit_rate: f64, rng: &mut impl Rng) {
     let m = s.len();
     if m == 0 {
@@ -93,12 +134,17 @@ pub fn mutate(s: &mut Solution, nproc: usize, order_rate: f64, bit_rate: f64, rn
         s.order.swap(i, j);
     }
     if bit_rate > 0.0 {
+        let threshold = flip_threshold(bit_rate);
+        let mut bytes = [0u8; 8 * MAX_NODES];
+        let draws = &mut bytes[..8 * nproc];
         for mask in &mut s.mapping {
-            for bit in 0..nproc {
-                if rng.gen::<f64>() < bit_rate {
-                    mask.toggle(bit);
-                }
+            rng.fill_bytes(draws);
+            let mut flips = 0u32;
+            for (bit, d) in draws.chunks_exact(8).enumerate() {
+                let u = u64::from_le_bytes(d.try_into().expect("8-byte draw"));
+                flips |= u32::from((u >> 11) < threshold) << bit;
             }
+            *mask = NodeMask(mask.0 ^ flips);
         }
     }
     repair(s, nproc, rng);
@@ -297,6 +343,131 @@ mod tests {
                 assert!(c2.is_legitimate(m, nproc), "{ctx}");
                 a = c1;
                 b = c2;
+            }
+        }
+    }
+
+    /// A generator that hands out one fixed `u64`: `Fixed(u).gen::<f64>()`
+    /// is the `f64` draw the stream would make from `u`.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn flip_threshold_decides_exactly_like_the_f64_draw() {
+        use rand::RngCore;
+        let mut r = rng(2003);
+        let two53 = 1u64 << 53;
+        for p in [2f64.powi(-53), 0.02, 0.35, 0.5, 1.0 - 2f64.powi(-53), 1.0] {
+            let t = flip_threshold(p);
+            // The draws either side of the threshold, with the eleven
+            // discarded low bits both clear and set.
+            let edges = [t.saturating_sub(1), t, t + 1]
+                .into_iter()
+                .map(|x| x.min(two53 - 1) << 11)
+                .flat_map(|u| [u, u | 0x7ff]);
+            for u in (0..1_000_000).map(|_| r.next_u64()).chain(edges) {
+                assert_eq!(
+                    Fixed(u).gen::<f64>() < p,
+                    (u >> 11) < t,
+                    "p = {p}, u = {u:#x}"
+                );
+            }
+        }
+        assert_eq!(flip_threshold(0.0), 0);
+        assert_eq!(flip_threshold(-1.0), 0);
+        assert_eq!(flip_threshold(f64::NAN), 0);
+        assert_eq!(flip_threshold(1.0), two53);
+    }
+
+    /// The per-bit `f64` mutation the bulk kernel replaced: the
+    /// reference it must replay draw for draw.
+    fn mutate_per_bit(
+        s: &mut Solution,
+        nproc: usize,
+        order_rate: f64,
+        bit_rate: f64,
+        rng: &mut impl Rng,
+    ) {
+        let m = s.len();
+        if m == 0 {
+            return;
+        }
+        if m >= 2 && rng.gen::<f64>() < order_rate {
+            let i = rng.gen_range(0..m);
+            let j = rng.gen_range(0..m);
+            s.order.swap(i, j);
+        }
+        if bit_rate > 0.0 {
+            for mask in &mut s.mapping {
+                for bit in 0..nproc {
+                    if rng.gen::<f64>() < bit_rate {
+                        mask.toggle(bit);
+                    }
+                }
+            }
+        }
+        repair(s, nproc, rng);
+    }
+
+    fn assert_mutation_replays_reference<R: Rng + Clone>(mut a: R, label: &str) {
+        let cases = [
+            (1usize, 0.5),
+            (4, 0.02),
+            (16, 0.02),
+            (16, 0.35),
+            (29, 0.5),
+            (32, 1.0),
+            (8, 2f64.powi(-53)),
+            (8, 0.0),
+        ];
+        for (nproc, bit_rate) in cases {
+            for m in [1usize, 2, 12] {
+                let base = Solution::random(m, nproc, &mut a);
+                let mut b = a.clone();
+                let (mut x, mut y) = (base.clone(), base);
+                mutate(&mut x, nproc, 0.35, bit_rate, &mut a);
+                mutate_per_bit(&mut y, nproc, 0.35, bit_rate, &mut b);
+                let ctx = format!("{label}: nproc {nproc}, rate {bit_rate}, m {m}");
+                assert_eq!(x, y, "{ctx}");
+                assert_eq!(a.next_u64(), b.next_u64(), "{ctx}: stream position");
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_mutation_replays_the_per_bit_reference() {
+        for seed in 0..40 {
+            // ChaCha8 overrides fill_bytes; SmallRng takes the default.
+            let stream = agentgrid_sim::RngStream::root(seed).derive("mutate");
+            assert_mutation_replays_reference(stream, "chacha8");
+            assert_mutation_replays_reference(rng(seed), "small");
+        }
+    }
+
+    #[test]
+    fn crossover_into_reused_buffers_matches_crossover() {
+        let mut r = rng(10);
+        // Buffers left over from unrelated, differently sized solutions.
+        let mut c1 = Solution::random(7, 3, &mut r);
+        let mut c2 = Solution::random(2, 3, &mut r);
+        let mut taken = vec![true; 40];
+        for m in [1usize, 2, 5, 12, 30] {
+            for nproc in [1usize, 4, 16] {
+                let a = Solution::random(m, nproc, &mut r);
+                let b = Solution::random(m, nproc, &mut r);
+                let mut r2 = r.clone();
+                let want = crossover(&a, &b, nproc, &mut r);
+                crossover_into(&a, &b, nproc, &mut r2, &mut c1, &mut c2, &mut taken);
+                assert_eq!((&c1, &c2), (&want.0, &want.1), "m {m} nproc {nproc}");
+                assert_eq!(r.gen::<u64>(), r2.gen::<u64>(), "m {m} nproc {nproc}");
             }
         }
     }

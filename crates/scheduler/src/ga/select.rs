@@ -14,9 +14,25 @@ use rand::Rng;
 /// with repeats). Degenerate inputs (all-zero fitness) fall back to a
 /// uniform cyclic fill.
 pub fn stochastic_remainder(fitness: &[f64], target: usize, rng: &mut impl Rng) -> Vec<usize> {
+    let mut selected = Vec::with_capacity(target);
+    stochastic_remainder_into(fitness, target, rng, &mut selected, &mut Vec::new());
+    selected
+}
+
+/// [`stochastic_remainder`] into `selected` (overwritten), with
+/// `remainders` as reusable scratch — no allocation once both buffers
+/// have grown.
+pub fn stochastic_remainder_into(
+    fitness: &[f64],
+    target: usize,
+    rng: &mut impl Rng,
+    selected: &mut Vec<usize>,
+    remainders: &mut Vec<f64>,
+) {
+    selected.clear();
     let n = fitness.len();
     if n == 0 || target == 0 {
-        return Vec::new();
+        return;
     }
     let sum: f64 = fitness
         .iter()
@@ -24,11 +40,11 @@ pub fn stochastic_remainder(fitness: &[f64], target: usize, rng: &mut impl Rng) 
         .filter(|f| f.is_finite() && *f > 0.0)
         .sum();
     if sum <= 0.0 {
-        return (0..target).map(|i| i % n).collect();
+        selected.extend((0..target).map(|i| i % n));
+        return;
     }
 
-    let mut selected = Vec::with_capacity(target);
-    let mut remainders = Vec::with_capacity(n);
+    remainders.clear();
     for (i, &f) in fitness.iter().enumerate() {
         let f = if f.is_finite() && f > 0.0 { f } else { 0.0 };
         let expected = f * target as f64 / sum;
@@ -60,7 +76,6 @@ pub fn stochastic_remainder(fitness: &[f64], target: usize, rng: &mut impl Rng) 
             }
         }
     }
-    selected
 }
 
 #[cfg(test)]

@@ -16,12 +16,28 @@ use agentgrid_cluster::NodeMask;
 use rand::Rng;
 
 /// One candidate schedule for the current optimisation set of tasks.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Solution {
     /// Task execution order: a permutation of `0..m` task indices.
     pub order: Vec<usize>,
     /// `mapping[p]` = node set for task `order[p]`. Always non-empty.
     pub mapping: Vec<NodeMask>,
+}
+
+impl Clone for Solution {
+    fn clone(&self) -> Self {
+        Solution {
+            order: self.order.clone(),
+            mapping: self.mapping.clone(),
+        }
+    }
+
+    /// Copies into the existing buffers: the GA overwrites whole
+    /// generations in place without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.order.clone_from(&source.order);
+        self.mapping.clone_from(&source.mapping);
+    }
 }
 
 impl Solution {

@@ -759,6 +759,21 @@ mod tests {
     }
 
     #[test]
+    fn fifo_run_allocates_no_keystream() {
+        // FIFO draws nothing and exact noise draws nothing, so the
+        // resource's streams never fill a keystream buffer.
+        let mut s = fifo_system(2);
+        let a = app(vec![10.0, 6.0]);
+        let mut started = Vec::new();
+        for id in 1..=5 {
+            started.extend(s.submit(mk_task(id, &a, 1000), SimTime::ZERO).unwrap());
+        }
+        drain(&mut s, started);
+        assert_eq!(s.completed().len(), 5);
+        assert!(!s.noise_rng.keystream_allocated());
+    }
+
+    #[test]
     fn fifo_runs_tasks_to_completion() {
         let mut s = fifo_system(2);
         let a = app(vec![10.0, 10.0]);

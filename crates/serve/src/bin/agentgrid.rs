@@ -187,9 +187,10 @@ impl Flags {
             topology: "case-study".to_string(),
             noise: 0.0,
             json: false,
-            ga_threads: None,
-            ga_islands: None,
-            shards: None,
+            // The environment gives defaults; the flags below override.
+            ga_threads: env_count("GA_THREADS").map(|n| n.min(64)),
+            ga_islands: env_count("GA_ISLANDS").map(|n| n.min(64)),
+            shards: env_count("SHARDS"),
             trace: None,
             trace_format: TraceFormat::Jsonl,
             verify: false,
@@ -429,6 +430,16 @@ fn cmd_run(flags: &Flags) -> ExitCode {
 
 fn policy_name(p: LocalPolicy) -> &'static str {
     p.token()
+}
+
+/// A count of at least 1 from environment variable `name`; unset,
+/// unparsable and zero values read as absent.
+fn env_count(name: &str) -> Option<usize> {
+    std::env::var(name)
+        .ok()?
+        .parse::<usize>()
+        .ok()
+        .filter(|n| *n >= 1)
 }
 
 fn parse_policy(name: &str) -> Result<LocalPolicy, String> {

@@ -40,6 +40,13 @@ impl RngStream {
     pub fn seed(&self) -> u64 {
         self.seed
     }
+
+    /// Whether the stream has drawn at all. The keystream buffer is
+    /// allocated on the first draw, so a stream that never draws (a FIFO
+    /// resource's noise stream, say) costs only its inline state.
+    pub fn keystream_allocated(&self) -> bool {
+        self.rng.keystream_allocated()
+    }
 }
 
 /// FNV-1a style mixing of a label into a seed. Stable across platforms.
@@ -116,6 +123,22 @@ mod tests {
         let mut b = root.derive("ga/S2");
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 4);
+    }
+
+    #[test]
+    fn stream_is_no_larger_than_the_one_block_layout() {
+        // The one-block generator kept its 64-byte block inline (144
+        // bytes per stream); the eight-block buffer lives behind a
+        // pointer, so streams that never draw stay small.
+        assert!(std::mem::size_of::<RngStream>() <= 144);
+    }
+
+    #[test]
+    fn keystream_is_allocated_on_first_draw() {
+        let mut s = RngStream::root(1).derive("noise");
+        assert!(!s.keystream_allocated());
+        s.next_u32();
+        assert!(s.keystream_allocated());
     }
 
     #[test]

@@ -29,6 +29,10 @@
 //! (DESIGN.md §13) instead of the generated per-case value: re-running
 //! one corpus at several shard counts must give identical verdicts.
 //!
+//! The batch corpus also reads `SHARDS` (overridden by `--shards`),
+//! `GA_THREADS` and `GA_ISLANDS` from the environment, so one corpus can
+//! be re-run at several shard counts and GA shapes from a CI matrix.
+//!
 //! `--policy P` pins every planned case (designs 2/3) to one scheduler
 //! zoo entrant (`fifo|ga|batch|minmin|maxmin|sufferage|anneal`) instead
 //! of the generated per-case draw, so a whole corpus can stress a
@@ -38,7 +42,7 @@
 use agentgrid::prelude::*;
 use agentgrid_serve::{read_recording, GridService, ServeConfig, TunerConfig};
 use agentgrid_verify::crash::crash_corpus;
-use agentgrid_verify::fuzz::fuzz_corpus_with;
+use agentgrid_verify::fuzz::{fuzz_corpus_with, GaShape};
 use agentgrid_verify::serve_fuzz::serve_fuzz_corpus;
 use std::io::Write;
 use std::process::ExitCode;
@@ -99,6 +103,13 @@ fn main() -> ExitCode {
             other => return bad_usage(&format!("unknown flag {other}")),
         }
     }
+    // Environment defaults of the batch corpus (a flag wins); the serve
+    // and crash corpora take neither.
+    let batch_shards = shards.or(env_count("SHARDS"));
+    let ga = GaShape {
+        threads: env_count("GA_THREADS").map_or(1, |n| n.min(64)),
+        islands: env_count("GA_ISLANDS").map_or(1, |n| n.min(64)),
+    };
     if let Some(path) = &replay {
         if !serve || crash {
             return bad_usage("--replay needs --serve (and not --crash)");
@@ -179,8 +190,8 @@ fn main() -> ExitCode {
             lines,
         )
     } else {
-        let report = fuzz_corpus_with(start, seeds, quick, shards, policy, |case, failure| {
-            progress(case.seed, failure)
+        let report = fuzz_corpus_with(start, seeds, quick, batch_shards, policy, ga, |case, f| {
+            progress(case.seed, f)
         });
         let lines: Vec<(String, String, String)> = report
             .failures
@@ -389,4 +400,14 @@ fn write_report(
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// A count of at least 1 from environment variable `name`; unset,
+/// unparsable and zero values read as absent.
+fn env_count(name: &str) -> Option<usize> {
+    std::env::var(name)
+        .ok()?
+        .parse::<usize>()
+        .ok()
+        .filter(|n| *n >= 1)
 }

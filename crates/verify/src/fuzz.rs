@@ -77,6 +77,28 @@ pub struct FuzzCase {
     pub policy: PolicyKind,
 }
 
+/// How the GA runs inside every case of a corpus: fitness-evaluation
+/// threads and island subpopulations (the `GA_THREADS` and `GA_ISLANDS`
+/// legs of CI). It is a property of the corpus run, not of a case, so
+/// regression lines stay valid under any shape. The default (1, 1) is
+/// the configuration the cases were written against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GaShape {
+    /// OS threads for fitness evaluation (results never depend on it).
+    pub threads: usize,
+    /// Island subpopulations (changes the search, never its invariants).
+    pub islands: usize,
+}
+
+impl Default for GaShape {
+    fn default() -> Self {
+        GaShape {
+            threads: 1,
+            islands: 1,
+        }
+    }
+}
+
 /// Why a case failed.
 #[derive(Clone, Debug)]
 pub enum CaseFailure {
@@ -160,12 +182,17 @@ impl FuzzCase {
 
     /// Execute the scenario under an invariant recorder.
     pub fn run(&self) -> CaseOutcome {
+        self.run_with(GaShape::default())
+    }
+
+    /// [`FuzzCase::run`] with the GA in `ga`'s shape.
+    pub fn run_with(&self, ga: GaShape) -> CaseOutcome {
         let recorder = Arc::new(if self.is_chaotic() {
             InvariantRecorder::chaos()
         } else {
             InvariantRecorder::strict()
         });
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| self.execute(&recorder)));
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| self.execute(&recorder, ga)));
         let failure = match outcome {
             Err(payload) => Some(CaseFailure::Panic(panic_message(&*payload))),
             Ok(summary) => {
@@ -187,7 +214,7 @@ impl FuzzCase {
         }
     }
 
-    fn execute(&self, recorder: &Arc<InvariantRecorder>) -> RunSummary {
+    fn execute(&self, recorder: &Arc<InvariantRecorder>, ga: GaShape) -> RunSummary {
         let topology = GridTopology::flat(self.resources, self.nproc);
         let workload = WorkloadConfig {
             requests: self.requests,
@@ -205,6 +232,8 @@ impl FuzzCase {
             design.local_policy = self.policy;
         }
         let mut opts = RunOptions::fast();
+        opts.ga.threads = ga.threads;
+        opts.ga.islands = ga.islands;
         opts.telemetry = Telemetry::new(recorder.clone());
         opts.step_limit = Some(STEP_LIMIT);
         opts.shards = self.shards.max(1);
@@ -280,6 +309,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// that still fails and repeat to a fixpoint. Every candidate is a full
 /// re-run, so the shrunken case is *known* to reproduce the failure.
 pub fn shrink(case: FuzzCase) -> FuzzCase {
+    shrink_with(case, GaShape::default())
+}
+
+/// [`shrink`] with every candidate run with the GA in `ga`'s shape.
+pub fn shrink_with(case: FuzzCase, ga: GaShape) -> FuzzCase {
     let mut best = case;
     loop {
         let mut candidates = Vec::new();
@@ -325,7 +359,10 @@ pub fn shrink(case: FuzzCase) -> FuzzCase {
             });
         }
         candidates.dedup();
-        match candidates.into_iter().find(|c| c.run().failure.is_some()) {
+        match candidates
+            .into_iter()
+            .find(|c| c.run_with(ga).failure.is_some())
+        {
             Some(c) => best = c,
             None => return best,
         }
@@ -371,7 +408,15 @@ pub fn fuzz_corpus(
     quick: bool,
     progress: impl FnMut(&FuzzCase, Option<&CaseFailure>),
 ) -> FuzzReport {
-    fuzz_corpus_with(start_seed, count, quick, None, None, progress)
+    fuzz_corpus_with(
+        start_seed,
+        count,
+        quick,
+        None,
+        None,
+        GaShape::default(),
+        progress,
+    )
 }
 
 /// [`fuzz_corpus`] with every case's shard count overridden (the
@@ -385,12 +430,21 @@ pub fn fuzz_corpus_sharded(
     shards: Option<usize>,
     progress: impl FnMut(&FuzzCase, Option<&CaseFailure>),
 ) -> FuzzReport {
-    fuzz_corpus_with(start_seed, count, quick, shards, None, progress)
+    fuzz_corpus_with(
+        start_seed,
+        count,
+        quick,
+        shards,
+        None,
+        GaShape::default(),
+        progress,
+    )
 }
 
 /// The fully-parameterised corpus runner: optional shard and policy
 /// overrides applied to every generated case (the `verify fuzz
-/// --shards N` and `--policy P` dimensions). A policy override pins
+/// --shards N` and `--policy P` dimensions), every case and shrink
+/// candidate run with the GA in `ga`'s shape. A policy override pins
 /// designs 2/3 to one zoo entrant so a whole corpus can stress a single
 /// policy; design-1 cases are FIFO by definition and ignore it.
 pub fn fuzz_corpus_with(
@@ -399,6 +453,7 @@ pub fn fuzz_corpus_with(
     quick: bool,
     shards: Option<usize>,
     policy: Option<PolicyKind>,
+    ga: GaShape,
     mut progress: impl FnMut(&FuzzCase, Option<&CaseFailure>),
 ) -> FuzzReport {
     let mut report = FuzzReport::default();
@@ -412,13 +467,16 @@ pub fn fuzz_corpus_with(
                 case.policy = p;
             }
         }
-        let outcome = case.run();
+        let outcome = case.run_with(ga);
         report.cases += 1;
         report.events += outcome.events;
         progress(&case, outcome.failure.as_ref());
         if outcome.failure.is_some() {
-            let shrunk = shrink(case);
-            let failure = shrunk.assert_fails();
+            let shrunk = shrink_with(case, ga);
+            let failure = shrunk
+                .run_with(ga)
+                .failure
+                .unwrap_or_else(|| panic!("expected {shrunk:?} to fail, but it ran clean"));
             report.failures.push(FuzzFailure {
                 case,
                 shrunk,
@@ -467,9 +525,25 @@ mod tests {
     }
 
     #[test]
+    fn island_and_thread_shapes_keep_the_corpus_clean() {
+        // Islands change which schedules the GA finds, never the
+        // invariants; the corpus must stay clean under any shape.
+        let ga = GaShape {
+            threads: 2,
+            islands: 2,
+        };
+        let report = fuzz_corpus_with(0, 6, true, None, Some(PolicyKind::Ga), ga, |c, f| {
+            assert!(f.is_none(), "{ga:?} corpus failed on {c:?}");
+        });
+        assert_eq!(report.cases, 6);
+        assert!(report.is_clean());
+    }
+
+    #[test]
     fn policy_override_pins_planned_designs_only() {
         let mut pinned = 0;
-        fuzz_corpus_with(0, 6, true, None, Some(PolicyKind::Sufferage), |c, f| {
+        let ga = GaShape::default();
+        fuzz_corpus_with(0, 6, true, None, Some(PolicyKind::Sufferage), ga, |c, f| {
             assert!(f.is_none(), "override corpus failed on {c:?}");
             if c.design != 1 {
                 assert_eq!(c.policy, PolicyKind::Sufferage);

@@ -52,8 +52,8 @@ pub mod invariant {
 
 pub use crash::{crash_corpus, shrink_crash, CrashCase, CrashFailure, CrashReport};
 pub use fuzz::{
-    fuzz_corpus, fuzz_corpus_sharded, shrink, CaseFailure, CaseOutcome, FuzzCase, FuzzFailure,
-    FuzzReport,
+    fuzz_corpus, fuzz_corpus_sharded, shrink, shrink_with, CaseFailure, CaseOutcome, FuzzCase,
+    FuzzFailure, FuzzReport, GaShape,
 };
 pub use invariant::{CheckMode, InvariantRecorder, Violation};
 pub use oracle::{
