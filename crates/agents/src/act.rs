@@ -7,17 +7,17 @@
 //! advertisements — that staleness is part of the system being
 //! reproduced, so the table never invents freshness.
 //!
-//! Keys are interned ids rather than names: an advertisement update is a
-//! 4-byte key insert instead of a `String` allocation plus string-compare
-//! walk, and because ids are assigned in lexicographic name order (see
-//! `agentgrid_telemetry::NameTable`), id-ordered iteration reproduces the
-//! legacy name-ordered iteration — and therefore matchmaking tie-breaking
-//! — exactly.
+//! Keys are interned ids rather than names, and rows sit in one `Vec`
+//! sorted by id: refreshing a known row is a binary search plus two
+//! stores (DESIGN.md §9, "ACT rows and O(1) freetime"). Because ids are
+//! assigned in lexicographic name order (see
+//! `agentgrid_telemetry::NameTable`), id-ordered iteration reproduces
+//! the legacy name-ordered iteration — and therefore matchmaking
+//! tie-breaking — exactly.
 
 use crate::info::ServiceInfo;
 use agentgrid_sim::{SimDuration, SimTime};
 use agentgrid_telemetry::ResourceId;
-use std::collections::BTreeMap;
 
 /// One ACT row.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,12 +28,27 @@ pub struct ActEntry {
     pub received_at: SimTime,
 }
 
-/// An agent's view of its neighbours' services (keyed by interned agent
-/// id; `BTreeMap` so iteration order — and therefore tie-breaking in
-/// matchmaking — is deterministic and equal to name order).
+impl ActEntry {
+    /// Take `info`'s `freetime` received at `now`. When this row already
+    /// shares `info`'s static part (see
+    /// [`ServiceInfo::shares_static_part`]) only the two fields that
+    /// change are written; otherwise the whole document is cloned in, as
+    /// a replacement would. The row ends up equal either way.
+    fn refresh(&mut self, info: &ServiceInfo, freetime: SimTime, now: SimTime) {
+        if !self.info.shares_static_part(info) {
+            self.info = info.clone();
+        }
+        self.info.freetime = freetime;
+        self.received_at = now;
+    }
+}
+
+/// An agent's view of its neighbours' services: rows kept sorted by
+/// interned agent id, so iteration order — and therefore tie-breaking
+/// in matchmaking — is deterministic and equal to name order.
 #[derive(Clone, Debug, Default)]
 pub struct Act {
-    entries: BTreeMap<ResourceId, ActEntry>,
+    rows: Vec<(ResourceId, ActEntry)>,
 }
 
 impl Act {
@@ -42,36 +57,65 @@ impl Act {
         Act::default()
     }
 
+    fn position(&self, agent: ResourceId) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&agent, |(id, _)| *id)
+    }
+
     /// Record service info received from `agent` at `now`, replacing any
     /// previous entry.
     pub fn update(&mut self, agent: ResourceId, info: ServiceInfo, now: SimTime) {
-        self.entries.insert(
-            agent,
-            ActEntry {
-                info,
-                received_at: now,
-            },
-        );
+        let entry = ActEntry {
+            info,
+            received_at: now,
+        };
+        match self.position(agent) {
+            Ok(i) => self.rows[i].1 = entry,
+            Err(i) => self.rows.insert(i, (agent, entry)),
+        }
+    }
+
+    /// Record that `agent` advertised the document `info` with `freetime`
+    /// at `now` (the document's own `freetime` is ignored). Equal to
+    /// [`Act::update`] with a stamped clone of `info`, but a known row
+    /// that shares `info`'s static part costs two stores.
+    pub(crate) fn refresh(
+        &mut self,
+        agent: ResourceId,
+        info: &ServiceInfo,
+        freetime: SimTime,
+        now: SimTime,
+    ) {
+        match self.position(agent) {
+            Ok(i) => self.rows[i].1.refresh(info, freetime, now),
+            Err(i) => {
+                let mut entry = ActEntry {
+                    info: info.clone(),
+                    received_at: now,
+                };
+                entry.info.freetime = freetime;
+                self.rows.insert(i, (agent, entry));
+            }
+        }
     }
 
     /// The current entry for `agent`.
     pub fn get(&self, agent: ResourceId) -> Option<&ActEntry> {
-        self.entries.get(&agent)
+        self.position(agent).ok().map(|i| &self.rows[i].1)
     }
 
     /// All entries in id order (== lexicographic name order).
     pub fn iter(&self) -> impl Iterator<Item = (ResourceId, &ActEntry)> {
-        self.entries.iter().map(|(k, v)| (*k, v))
+        self.rows.iter().map(|(id, e)| (*id, e))
     }
 
     /// Number of known neighbours.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rows.len()
     }
 
     /// True when nothing has been advertised yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rows.is_empty()
     }
 
     /// Age of the entry for `agent` at `now`.
@@ -81,14 +125,14 @@ impl Act {
 
     /// Forget everything (a crashed agent restarts with an empty table).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.rows.clear();
     }
 
     /// Drop entries older than `max_age` (housekeeping; the experiments
     /// never expire entries, matching the paper).
     pub fn expire(&mut self, now: SimTime, max_age: SimDuration) {
-        self.entries
-            .retain(|_, e| now.saturating_since(e.received_at) <= max_age);
+        self.rows
+            .retain(|(_, e)| now.saturating_since(e.received_at) <= max_age);
     }
 
     /// Merge another table, keeping whichever entry is fresher per agent
@@ -102,12 +146,14 @@ impl Act {
             if id == skip {
                 continue;
             }
-            let fresher = self
-                .entries
-                .get(&id)
-                .is_none_or(|mine| entry.received_at > mine.received_at);
-            if fresher {
-                self.entries.insert(id, entry.clone());
+            match self.position(id) {
+                Ok(i) => {
+                    let mine = &mut self.rows[i].1;
+                    if entry.received_at > mine.received_at {
+                        mine.refresh(&entry.info, entry.info.freetime, entry.received_at);
+                    }
+                }
+                Err(i) => self.rows.insert(i, (id, entry.clone())),
             }
         }
     }
@@ -170,6 +216,52 @@ mod tests {
         // Ascending id == lexicographic name order by construction of
         // the NameTable; deterministic either way.
         assert_eq!(ids, [S2, S9, S11]);
+    }
+
+    #[test]
+    fn iteration_is_ascending_after_out_of_order_inserts() {
+        let doc = info(0);
+        let mut act = Act::new();
+        let mut gossip = Act::new();
+        // A stride coprime to 61 visits every id in 0..61 out of order.
+        for k in 0..61u32 {
+            let id = ResourceId((k * 37) % 61);
+            match k % 3 {
+                0 => act.update(id, info(1), SimTime::ZERO),
+                1 => act.refresh(id, &doc, SimTime::from_secs(2), SimTime::ZERO),
+                _ => gossip.update(id, info(3), SimTime::from_secs(1)),
+            }
+        }
+        act.merge(&gossip, ResourceId(61));
+        let ids: Vec<u32> = act.iter().map(|(n, _)| n.0).collect();
+        assert_eq!(ids, (0..61).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn refresh_writes_in_place_only_when_the_static_part_is_shared() {
+        let template = info(0);
+        let mut act = Act::new();
+        act.refresh(S2, &template, SimTime::from_secs(4), SimTime::from_secs(1));
+        act.refresh(S2, &template, SimTime::from_secs(7), SimTime::from_secs(2));
+        let row = act.get(S2).unwrap();
+        assert!(row.info.shares_static_part(&template));
+        assert_eq!(row.info.freetime, SimTime::from_secs(7));
+        assert_eq!(row.received_at, SimTime::from_secs(2));
+
+        // An equal but rebuilt document replaces the row outright.
+        let rebuilt = info(0);
+        assert_eq!(rebuilt, template);
+        assert!(!rebuilt.shares_static_part(&template));
+        act.refresh(S2, &rebuilt, SimTime::from_secs(9), SimTime::from_secs(3));
+        let row = act.get(S2).unwrap();
+        assert!(row.info.shares_static_part(&rebuilt));
+
+        // Either way the row equals a replacement by a stamped clone.
+        let mut stamped = rebuilt.clone();
+        stamped.freetime = SimTime::from_secs(9);
+        let mut replaced = Act::new();
+        replaced.update(S2, stamped, SimTime::from_secs(3));
+        assert_eq!(act.get(S2), replaced.get(S2));
     }
 
     #[test]

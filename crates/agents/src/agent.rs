@@ -305,12 +305,16 @@ impl Agent {
         self.act.update(from, info, now);
     }
 
-    /// [`Agent::update_act`] plus an [`Event::Advertise`] telemetry
-    /// record noting whether the information arrived by push or pull.
+    /// An advertisement from a neighbour: `info`'s static part with
+    /// `freetime` (`info`'s own freetime is ignored), plus an
+    /// [`Event::Advertise`] telemetry record noting whether it arrived by
+    /// push or pull. A known row that shares `info`'s allocations is
+    /// refreshed in place; any other row is replaced by a copy of `info`.
     pub fn receive_advertisement(
         &mut self,
         from: ResourceId,
-        info: ServiceInfo,
+        info: &ServiceInfo,
+        freetime: SimTime,
         now: SimTime,
         push: bool,
     ) {
@@ -320,7 +324,7 @@ impl Agent {
             to: names.name(self.id).to_string(),
             push,
         });
-        self.act.update(from, info, now);
+        self.act.refresh(from, info, freetime, now);
     }
 
     /// [`Agent::receive_advertisement`] with the telemetry record
@@ -332,7 +336,8 @@ impl Agent {
     pub fn receive_advertisement_into(
         &mut self,
         from: ResourceId,
-        info: ServiceInfo,
+        info: &ServiceInfo,
+        freetime: SimTime,
         now: SimTime,
         push: bool,
         buf: &mut Vec<Event>,
@@ -344,7 +349,7 @@ impl Agent {
                 push,
             });
         }
-        self.act.update(from, info, now);
+        self.act.refresh(from, info, freetime, now);
     }
 
     /// Merge a gossiped capability table (keep-freshest; entries about

@@ -54,6 +54,20 @@ impl ServiceInfo {
         self.environments.contains(&env)
     }
 
+    /// Whether `other` has this document's static part — everything but
+    /// `freetime` — by sharing its allocations, not by comparing their
+    /// contents. Two documents cloned from one template always pass; a
+    /// document rebuilt from scratch never does, even when equal.
+    pub(crate) fn shares_static_part(&self, other: &ServiceInfo) -> bool {
+        Arc::ptr_eq(&self.agent.address, &other.agent.address)
+            && Arc::ptr_eq(&self.local.address, &other.local.address)
+            && Arc::ptr_eq(&self.machine_type, &other.machine_type)
+            && Arc::ptr_eq(&self.environments, &other.environments)
+            && self.agent.port == other.agent.port
+            && self.local.port == other.local.port
+            && self.nproc == other.nproc
+    }
+
     /// Encode as the Fig. 5 XML template.
     pub fn to_xml(&self) -> Element {
         let mut local = Element::new("local")

@@ -29,6 +29,9 @@ pub struct GridResource {
     name: String,
     model: ResourceModel,
     free_at: Vec<SimTime>,
+    /// The latest of `free_at`, kept in step by every write to it so the
+    /// advertised freetime is a load, not a fold over the nodes.
+    makespan: SimTime,
     available: Vec<bool>,
     log: Vec<Allocation>,
 }
@@ -49,6 +52,7 @@ impl GridResource {
             name: name.to_string(),
             model,
             free_at: vec![SimTime::ZERO; nproc],
+            makespan: SimTime::ZERO,
             available: vec![true; nproc],
             log: Vec::new(),
         }
@@ -111,6 +115,15 @@ impl GridResource {
     /// GA scheduling makespan indicates the earliest (approximate) time
     /// that corresponding processors become available for more tasks").
     pub fn makespan(&self) -> SimTime {
+        debug_assert_eq!(
+            self.makespan,
+            self.fold_makespan(),
+            "cached makespan diverged from the node ledger"
+        );
+        self.makespan
+    }
+
+    fn fold_makespan(&self) -> SimTime {
         self.free_at
             .iter()
             .copied()
@@ -136,6 +149,9 @@ impl GridResource {
             );
             self.free_at[i] = end;
         }
+        // A fold rather than a running max: should a release build
+        // double-book a node, its free time can move backwards.
+        self.makespan = self.fold_makespan();
         self.log.push(Allocation {
             task_id,
             mask,
@@ -180,12 +196,14 @@ impl GridResource {
                 *f = now;
             }
         }
+        self.makespan = self.makespan.min(now);
         aborted
     }
 
     /// Forget all committed work and make every node free at t = 0.
     pub fn reset(&mut self) {
         self.free_at.fill(SimTime::ZERO);
+        self.makespan = SimTime::ZERO;
         self.available.fill(true);
         self.log.clear();
     }

@@ -100,4 +100,39 @@ proptest! {
             }
         }
     }
+
+    /// The cached makespan equals the fold over the node ledger after
+    /// every `commit`, `abort_running` and `reset`, in any order.
+    #[test]
+    fn cached_makespan_equals_the_fold(
+        ops in proptest::collection::vec((0u8..10, any::<u32>(), 1u64..50, 0u64..30), 1..60),
+        nproc in 1usize..=16,
+    ) {
+        let mut r = GridResource::new("R", Platform::sgi_origin2000(), nproc);
+        let mut now = SimTime::ZERO;
+        // Crashes only truncate allocations that already started.
+        let mut latest_start = SimTime::ZERO;
+        for (id, (kind, mask_bits, dur, gap)) in ops.into_iter().enumerate() {
+            now += agentgrid_sim::SimDuration::from_secs(gap);
+            match kind {
+                0..=5 => {
+                    let mask = NodeMask(mask_bits).clamp_to(nproc).ensure_nonempty(0);
+                    let start = r.free_time_of(mask).max(now);
+                    let end = start + agentgrid_sim::SimDuration::from_secs(dur);
+                    r.commit(id as u64, mask, start, end);
+                    latest_start = latest_start.max(start);
+                }
+                6..=8 => {
+                    now = now.max(latest_start);
+                    r.abort_running(now);
+                }
+                _ => {
+                    r.reset();
+                    latest_start = SimTime::ZERO;
+                }
+            }
+            let fold = (0..nproc).map(|i| r.node_free_at(i)).fold(SimTime::ZERO, SimTime::max);
+            prop_assert_eq!(r.makespan(), fold);
+        }
+    }
 }

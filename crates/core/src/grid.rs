@@ -24,9 +24,11 @@
 //! * `work_remains`/`horizon`/`migrations` are O(1) running counters
 //!   maintained on submit/complete, not O(resources) scans per event
 //!   (`debug_assert`s cross-check them against the scans).
-//! * Per-resource [`ServiceInfo`] is templated once at construction; a
-//!   pull clones the template (a few `Arc` bumps) and stamps the live
-//!   freetime instead of re-`format!`ing hostnames.
+//! * Per-resource [`ServiceInfo`] is built once at construction. A pull
+//!   writes the live freetime into the puller's existing ACT row (two
+//!   stores, no `Arc` traffic), and a discovery hop stamps it into the
+//!   resource's own document in place (DESIGN.md §9, "ACT rows and O(1)
+//!   freetime").
 //!
 //! [`GridSystem::set_baseline_bookkeeping`] restores the legacy
 //! scan-per-event behaviour for benchmark comparison (`gridscale
@@ -36,7 +38,7 @@ use agentgrid_agents::{
     AdvertisementStrategy, Agent, DiscoveryDecision, Endpoint, FailurePolicy, Hierarchy,
     MatchmakerKind, NameTable, Portal, RequestEnvelope, RequestInfo, ResourceId, ServiceInfo,
 };
-use agentgrid_cluster::ExecEnv;
+use agentgrid_cluster::{ExecEnv, ResourceMonitor};
 use agentgrid_pace::{ApplicationModel, CachedEngine, Catalog, NoiseModel, Platform};
 use agentgrid_scheduler::{GaConfig, PolicyConfig, SchedulerSystem, StartedTask, Task, TaskId};
 use agentgrid_sim::{trace::TraceKind, RngStream, SimDuration, SimTime, Simulation, Trace};
@@ -240,11 +242,12 @@ struct ReqChaos {
     excluded: Vec<ResourceId>,
 }
 
-/// An advertisement in flight on a delayed link.
+/// An advertisement in flight on a delayed link: only the freetime the
+/// sender advertised travels; the static part is the sender's document.
 struct DelayedAdvert {
     from: ResourceId,
     to: ResourceId,
-    info: ServiceInfo,
+    freetime: SimTime,
     push: bool,
 }
 
@@ -318,7 +321,8 @@ pub struct PullBatchParts<'a> {
     pub agents: &'a mut [Agent],
     /// Read-only: pure `freetime(now)` queries during a batch.
     pub schedulers: &'a [SchedulerSystem],
-    /// Read-only: per-resource Fig. 5 templates to clone-and-stamp.
+    /// Read-only: per-resource Fig. 5 documents whose static part the
+    /// pulled ACT rows share.
     pub templates: &'a [ServiceInfo],
 }
 
@@ -368,16 +372,13 @@ pub struct GridSystem {
     discovery_hops: u64,
     /// Reusable neighbour-id buffer (avoids a Vec per pull/push).
     scratch_neighbours: Vec<ResourceId>,
-    /// Per-resource Fig. 5 documents with freetime left at zero; cloned
-    /// (Arc bumps) and stamped per advertisement.
-    service_templates: Vec<ServiceInfo>,
+    /// Per-resource Fig. 5 documents, built once. ACT rows share their
+    /// static part; `freetime` is stamped in place before a discovery
+    /// hop reads a resource's own document.
+    services: Vec<ServiceInfo>,
     /// Legacy bookkeeping for benchmarking: O(R) scans per event and
     /// re-formatted service info, exactly as before the §9 rework.
     baseline: bool,
-    /// Set once a scheduler is handed out mutably: incremental counters
-    /// can no longer be trusted, so the metric accessors fall back to
-    /// the scans (failure-injection tests mutate schedulers directly).
-    external_mutation: bool,
     /// What the hierarchy head does when discovery or the retry budget
     /// fails (also threaded into each agent at construction).
     failure_policy: FailurePolicy,
@@ -474,7 +475,7 @@ impl GridSystem {
             .map(|a| (a.name.clone(), Arc::new(a.clone())))
             .collect();
 
-        let service_templates = names
+        let services = names
             .ids()
             .map(|id| {
                 let s = &schedulers[id.index()];
@@ -591,9 +592,8 @@ impl GridSystem {
             pull_messages: 0,
             discovery_hops: 0,
             scratch_neighbours: Vec::new(),
-            service_templates,
+            services,
             baseline: false,
-            external_mutation: false,
             failure_policy: config.failure_policy,
             chaos,
             trace: if config.trace {
@@ -849,10 +849,7 @@ impl GridSystem {
         let mut envelope = RequestEnvelope::new(Arc::clone(&self.requests[i].info)).with_task(id.0);
         let mut current = origin;
         loop {
-            let local = self.service_info_id(current, now);
-            let agent = self.hierarchy.agent(current);
-            let decision =
-                agent.decide(&envelope, &app, &local, now, &self.platforms, &self.engine);
+            let decision = self.decide_at(current, &envelope, &app, now);
             match decision {
                 DiscoveryDecision::ExecuteLocally { .. } => {
                     let hops = envelope.hops;
@@ -971,23 +968,17 @@ impl GridSystem {
                     continue;
                 }
             }
-            let info = self.service_info_id(n, now);
+            let freetime = self.schedulers[n.index()].freetime(now);
             self.pull_messages += 1;
-            let freetime = info.freetime;
             self.trace_at(now, TraceKind::Advertisement, agent, |names| {
                 format!("pulled {} freetime={freetime}", names.name(n))
             });
+            self.deliver(n, agent, freetime, now, false);
             // Under gossip a pull also carries the neighbour's table, so
             // knowledge of distant resources ripples through the tree.
-            let gossiped = if self.gossip {
-                Some(self.hierarchy.agent(n).act().clone())
-            } else {
-                None
-            };
-            let me = self.hierarchy.agent_mut(agent);
-            me.receive_advertisement(n, info, now, false);
-            if let Some(table) = gossiped {
-                me.merge_act(&table);
+            if self.gossip {
+                let (me, them) = agent_pair(self.hierarchy.agents_mut(), agent, n);
+                me.merge_act(them.act());
             }
         }
         self.scratch_neighbours = neighbours;
@@ -1000,9 +991,9 @@ impl GridSystem {
     /// `freetime`, its own neighbour list) and writes only its own
     /// agent's ACT plus the batch-summable pull counter. Chaos can drop
     /// or delay individual messages, gossip copies neighbour ACTs
-    /// mid-batch, the legacy baseline re-formats shared state, external
-    /// mutation invalidates templates, and tracing interleaves log
-    /// lines — any of those forces the sequential path.
+    /// mid-batch, the legacy baseline re-formats shared state, and
+    /// tracing interleaves log lines — any of those forces the
+    /// sequential path.
     pub fn pull_batching_eligible(&self) -> bool {
         matches!(
             self.advertisement,
@@ -1010,19 +1001,18 @@ impl GridSystem {
         ) && self.chaos.is_none()
             && !self.gossip
             && !self.baseline
-            && !self.external_mutation
             && !self.trace.is_enabled()
     }
 
     /// The disjoint views one batch window's shard workers need: the
     /// id-indexed agent slice (split per shard by the runner) plus the
-    /// shared read-only scheduler and template tables that stamp live
-    /// freetime. Only meaningful while [`Self::pull_batching_eligible`].
+    /// shared read-only scheduler and document tables the refreshed rows
+    /// read. Only meaningful while [`Self::pull_batching_eligible`].
     pub fn pull_batch_parts(&mut self) -> PullBatchParts<'_> {
         PullBatchParts {
             agents: self.hierarchy.agents_mut(),
             schedulers: &self.schedulers,
-            templates: &self.service_templates,
+            templates: &self.services,
         }
     }
 
@@ -1087,11 +1077,10 @@ impl GridSystem {
         }
         if let Some(&delay) = c.link_delay.get(&(from, to)) {
             self.pull_messages += 1;
-            let info = self.service_info_id(from, now);
             let slot = c.enqueue_delayed(DelayedAdvert {
                 from,
                 to,
-                info,
+                freetime: self.schedulers[from.index()].freetime(now),
                 push: false,
             });
             sim.schedule_in(delay, GridEvent::AdvertDeliver { slot });
@@ -1144,9 +1133,8 @@ impl GridSystem {
         let mut neighbours = std::mem::take(&mut self.scratch_neighbours);
         neighbours.clear();
         neighbours.extend(self.hierarchy.agent(agent).neighbour_ids());
-        let info = self.service_info_id(agent, now);
-        self.last_advertised[agent.index()] = info.freetime;
-        let freetime = info.freetime;
+        let freetime = self.schedulers[agent.index()].freetime(now);
+        self.last_advertised[agent.index()] = freetime;
         for &n in &neighbours {
             if let Some(c) = chaos.as_deref_mut() {
                 if c.down[n.index()] || c.link_down.contains(&(agent, n)) {
@@ -1159,7 +1147,7 @@ impl GridSystem {
                     let slot = c.enqueue_delayed(DelayedAdvert {
                         from: agent,
                         to: n,
-                        info: info.clone(),
+                        freetime,
                         push: true,
                     });
                     sim.schedule_in(delay, GridEvent::AdvertDeliver { slot });
@@ -1170,9 +1158,7 @@ impl GridSystem {
             self.trace_at(now, TraceKind::Advertisement, agent, |names| {
                 format!("pushed freetime={freetime} to {}", names.name(n))
             });
-            self.hierarchy
-                .agent_mut(n)
-                .receive_advertisement(agent, info.clone(), now, true);
+            self.deliver(agent, n, freetime, now, true);
         }
         self.scratch_neighbours = neighbours;
     }
@@ -1480,10 +1466,7 @@ impl GridSystem {
         let app = Arc::clone(&task.app);
         let mut current = origin;
         loop {
-            let local = self.service_info_id(current, now);
-            let agent = self.hierarchy.agent(current);
-            let decision =
-                agent.decide(&envelope, &app, &local, now, &self.platforms, &self.engine);
+            let decision = self.decide_at(current, &envelope, &app, now);
             match decision {
                 DiscoveryDecision::ExecuteLocally { .. } => {
                     let hops = envelope.hops;
@@ -1708,25 +1691,59 @@ impl GridSystem {
                 });
                 // Only the Fig. 5 document itself was in flight: delayed
                 // adverts carry no gossip table.
-                self.hierarchy
-                    .agent_mut(adv.to)
-                    .receive_advertisement(adv.from, adv.info, now, adv.push);
+                self.deliver(adv.from, adv.to, adv.freetime, now, adv.push);
             }
         }
         self.chaos = Some(c);
     }
 
-    /// Live service information of one resource (Fig. 5 content), by id:
-    /// template clone + live freetime on the fast path.
+    /// `from`'s advertisement of `freetime` reaches `to`'s ACT at `now`.
+    /// The legacy baseline rebuilds the document per message, so its rows
+    /// are replaced rather than refreshed in place; the rows are equal
+    /// either way.
+    fn deliver(
+        &mut self,
+        from: ResourceId,
+        to: ResourceId,
+        freetime: SimTime,
+        now: SimTime,
+        push: bool,
+    ) {
+        let rebuilt;
+        let info = if self.baseline {
+            rebuilt = self.build_service_info(from, freetime);
+            &rebuilt
+        } else {
+            &self.services[from.index()]
+        };
+        self.hierarchy
+            .agent_mut(to)
+            .receive_advertisement(from, info, freetime, now, push);
+    }
+
+    /// One discovery step at `current`, which evaluates its own live
+    /// service information: its document with freetime stamped in place.
+    fn decide_at(
+        &mut self,
+        current: ResourceId,
+        envelope: &RequestEnvelope,
+        app: &ApplicationModel,
+        now: SimTime,
+    ) -> DiscoveryDecision {
+        let local = &mut self.services[current.index()];
+        local.freetime = self.schedulers[current.index()].freetime(now);
+        let agent = self.hierarchy.agent(current);
+        agent.decide(envelope, app, local, now, &self.platforms, &self.engine)
+    }
+
+    /// Live service information of one resource (Fig. 5 content), by id.
     pub fn service_info_id(&self, id: ResourceId, now: SimTime) -> ServiceInfo {
-        if self.baseline || self.external_mutation {
-            // Legacy path: rebuild the document from the scheduler (also
-            // the correct path once a scheduler was mutated externally —
-            // e.g. its supported environments may have changed).
-            return self.build_service_info(id, now);
+        let freetime = self.schedulers[id.index()].freetime(now);
+        if self.baseline {
+            return self.build_service_info(id, freetime);
         }
-        let mut info = self.service_templates[id.index()].clone();
-        info.freetime = self.schedulers[id.index()].freetime(now);
+        let mut info = self.services[id.index()].clone();
+        info.freetime = freetime;
         info
     }
 
@@ -1735,7 +1752,7 @@ impl GridSystem {
         self.service_info_id(self.names.expect_id(name), now)
     }
 
-    fn build_service_info(&self, id: ResourceId, now: SimTime) -> ServiceInfo {
+    fn build_service_info(&self, id: ResourceId, freetime: SimTime) -> ServiceInfo {
         let s = &self.schedulers[id.index()];
         let host = format!("{}.grid.example.org", self.names.name(id).to_lowercase());
         ServiceInfo {
@@ -1744,21 +1761,20 @@ impl GridSystem {
             machine_type: s.resource().model().platform.name.as_str().into(),
             nproc: s.resource().nproc(),
             environments: s.supported_envs().to_vec().into(),
-            freetime: s.freetime(now),
+            freetime,
         }
     }
 
     /// Whether any requests are outstanding or any scheduler still has
     /// queued/running work (periodic events stop rescheduling once this
     /// turns false, which ends the run). O(1) via the active-task
-    /// counter; falls back to the queue scan under baseline bookkeeping
-    /// or after external scheduler mutation.
+    /// counter; falls back to the queue scan under baseline bookkeeping.
     pub fn work_remains(&self) -> bool {
         // Under chaos a request can be outstanding with every scheduler
         // queue empty (lost in a crash, waiting out a retry backoff) —
         // the periodic chains must survive such gaps.
         let chaos_outstanding = self.chaos.as_ref().is_some_and(|c| c.outstanding > 0);
-        if self.baseline || self.external_mutation {
+        if self.baseline {
             return self.remaining_requests > 0 || chaos_outstanding || self.scan_work_remains();
         }
         debug_assert_eq!(
@@ -1800,17 +1816,12 @@ impl GridSystem {
         &self.hierarchy
     }
 
-    /// Mutable access to one scheduler (failure injection in examples).
-    ///
-    /// Handing out `&mut` invalidates the incremental bookkeeping (a
-    /// caller may cancel tasks or change environments behind the grid's
-    /// back), so `work_remains`/`horizon`/`migrations` permanently fall
-    /// back to their scan forms for this grid.
-    pub fn scheduler_mut(&mut self, name: &str) -> Option<&mut SchedulerSystem> {
-        self.external_mutation = true;
-        self.names
-            .id(name)
-            .map(|id| &mut self.schedulers[id.index()])
+    /// One resource's availability monitor, by name (failure
+    /// injection: scripted node outages reach the scheduler through its
+    /// ordinary monitor polls, so the grid's bookkeeping stays valid).
+    pub fn monitor_mut(&mut self, name: &str) -> Option<&mut ResourceMonitor> {
+        let id = self.names.id(name)?;
+        Some(self.schedulers[id.index()].monitor_mut())
     }
 
     /// The shared evaluation cache.
@@ -1820,9 +1831,9 @@ impl GridSystem {
 
     /// The latest completion instant across the grid (the observation
     /// horizon for metrics); zero when nothing ran. O(1) via a running
-    /// max except under baseline/external-mutation modes.
+    /// max except under baseline bookkeeping.
     pub fn horizon(&self) -> SimTime {
-        if self.baseline || self.external_mutation {
+        if self.baseline {
             return self.scan_horizon();
         }
         debug_assert_eq!(
@@ -1842,9 +1853,9 @@ impl GridSystem {
 
     /// Tasks that executed on a different resource than the agent they
     /// were submitted to (the agent layer's redistribution). O(1) via a
-    /// running counter except under baseline/external-mutation modes.
+    /// running counter except under baseline bookkeeping.
     pub fn migrations(&self) -> usize {
-        if self.baseline || self.external_mutation {
+        if self.baseline {
             return self.scan_migrations();
         }
         debug_assert_eq!(
@@ -2064,7 +2075,7 @@ impl GridSystem {
 
     /// Tasks submitted to a scheduler and not yet completed.
     pub fn active_tasks(&self) -> usize {
-        if self.baseline || self.external_mutation {
+        if self.baseline {
             return self
                 .schedulers
                 .iter()
@@ -2094,6 +2105,19 @@ impl GridSystem {
     pub fn resource_online(&self, name: &str) -> Option<bool> {
         let id = self.names.id(name)?;
         Some(!self.chaos_down(id))
+    }
+}
+
+/// `agents[a]` mutably and `agents[b]` shared, for `a != b`.
+fn agent_pair(agents: &mut [Agent], a: ResourceId, b: ResourceId) -> (&mut Agent, &Agent) {
+    let (a, b) = (a.index(), b.index());
+    debug_assert_ne!(a, b, "an agent is not its own neighbour");
+    if a < b {
+        let (lo, hi) = agents.split_at_mut(b);
+        (&mut lo[a], &hi[0])
+    } else {
+        let (lo, hi) = agents.split_at_mut(a);
+        (&mut hi[0], &lo[b])
     }
 }
 

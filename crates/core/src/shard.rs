@@ -339,9 +339,9 @@ fn shard_of(bounds: &[usize], agent: ResourceId) -> usize {
 }
 
 /// One agent's pull against every neighbour — the worker-side half of
-/// the sequential [`GridSystem::handle`] pull arm: clone-and-stamp each
-/// neighbour's template with live freetime, apply to the puller's own
-/// ACT, buffer the would-be `Advertise` telemetry in neighbour order.
+/// the sequential [`GridSystem::handle`] pull arm: refresh the puller's
+/// own ACT row for each neighbour from its template and live freetime,
+/// buffer the would-be `Advertise` telemetry in neighbour order.
 fn run_pull(
     agent: &mut Agent,
     schedulers: &[SchedulerSystem],
@@ -353,9 +353,8 @@ fn run_pull(
     neighbours.clear();
     neighbours.extend(agent.neighbour_ids());
     for &n in neighbours.iter() {
-        let mut info = templates[n.index()].clone();
-        info.freetime = schedulers[n.index()].freetime(now);
-        agent.receive_advertisement_into(n, info, now, false, events);
+        let freetime = schedulers[n.index()].freetime(now);
+        agent.receive_advertisement_into(n, &templates[n.index()], freetime, now, false, events);
     }
     neighbours.len() as u64
 }

@@ -23,17 +23,17 @@ fn grid_absorbs_a_mid_run_outage() {
     // Half of R1's nodes die at t = 15 s and recover at t = 50 s; the
     // monitor polls every 10 s.
     {
-        let s = grid.scheduler_mut("R1").expect("R1 exists");
-        s.monitor_mut().set_period(D::from_secs(10));
+        let monitor = grid.monitor_mut("R1").expect("R1 exists");
+        monitor.set_period(D::from_secs(10));
         for node in 4..8 {
-            s.monitor_mut().inject(AvailabilityChange {
+            monitor.inject(AvailabilityChange {
                 at: SimTime::from_secs(15),
                 node,
                 up: false,
             });
         }
         for node in 4..8 {
-            s.monitor_mut().inject(AvailabilityChange {
+            monitor.inject(AvailabilityChange {
                 at: SimTime::from_secs(50),
                 node,
                 up: true,
@@ -83,17 +83,17 @@ fn full_outage_holds_tasks_until_recovery() {
     let mut grid = GridSystem::new(&topology, &opts.catalog, &config);
     grid.enable_monitor_polls();
     {
-        let s = grid.scheduler_mut("R1").expect("R1 exists");
-        s.monitor_mut().set_period(D::from_secs(5));
+        let monitor = grid.monitor_mut("R1").expect("R1 exists");
+        monitor.set_period(D::from_secs(5));
         for node in 0..2 {
-            s.monitor_mut().inject(AvailabilityChange {
+            monitor.inject(AvailabilityChange {
                 at: SimTime::from_secs(1),
                 node,
                 up: false,
             });
         }
         for node in 0..2 {
-            s.monitor_mut().inject(AvailabilityChange {
+            monitor.inject(AvailabilityChange {
                 at: SimTime::from_secs(30),
                 node,
                 up: true,
